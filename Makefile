@@ -6,9 +6,9 @@ GO ?= go
 BENCH_DATE := $(shell date -u +%F)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-serve smoke-proof smoke-load bench bench-smoke bench-thermal bench-json bench-diff load-json load-diff smoke-expm smoke-spec fuzz-smoke clean
+.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-serve smoke-proof smoke-load bench bench-smoke bench-thermal bench-json bench-diff load-json load-diff smoke-expm smoke-spec fuzz-smoke bench-selftest clean
 
-check: fmt-check vet lint doclint build race bench-smoke smoke-expm smoke-spec smoke-serve smoke-proof smoke-load fuzz-smoke
+check: fmt-check vet lint doclint build race bench-smoke smoke-expm smoke-spec smoke-serve smoke-proof smoke-load fuzz-smoke bench-selftest
 
 build:
 	$(GO) build ./...
@@ -136,6 +136,13 @@ smoke-proof:
 # no request errored or was refused.
 smoke-load:
 	$(GO) run ./cmd/thermload -self
+
+# The benchmark's own self-tests (thermbench is a nested module, so
+# the root `go test ./...` does not reach it). They start a real
+# thermservd and send sync /matrix, recompute served sweep bodies in
+# process, and check the pinned batch digests.
+bench-selftest:
+	cd thermbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full load-trajectory point: a dated LOAD_<date>.json next to the
 # BENCH_<date>.json series. Refuses to overwrite a committed point, so

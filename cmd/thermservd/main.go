@@ -75,7 +75,6 @@ func main() {
 		jobWorkers = flag.Int("job-workers", 0, "async job workers (default GOMAXPROCS)")
 		queueDepth = flag.Int("queue-depth", 0, "pending-job queue bound (default 64)")
 		jobRetain  = flag.Int("job-retention", 0, "finished jobs kept pollable before pruning (default 256)")
-		workers    = flag.Int("workers", 0, "experiment worker pool for /matrix sweeps (default GOMAXPROCS)")
 		maxSims    = flag.Int("max-sims", 0, "concurrent simulation executions across all endpoints (default 2xGOMAXPROCS)")
 		maxSync    = flag.Float64("max-sync", 0, "max simulated seconds a synchronous /run accepts (default 600)")
 		maxPending = flag.Float64("max-pending-sim-s", 0, "pending simulated-seconds budget before load shedding with 503 + Retry-After (default 20x max-sync; negative: unbounded)")
@@ -103,7 +102,6 @@ func main() {
 		QuotaBurst:     *quotaBurst,
 		TenantHeader:   *tenantHdr,
 	}
-	cfg.Runner.Workers = *workers
 
 	if *smoke {
 		if err := runSmoke(cfg); err != nil {

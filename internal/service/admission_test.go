@@ -152,7 +152,8 @@ func TestInteractiveOvertakesBulk(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		MaxSims: 1,
 		// Runs are told apart by their distinct measure_s: the holder
-		// measures 1, the sweep cells 2, the late interactive run 3.
+		// measures 1, the bulk sweep cells 2, the late interactive run
+		// 3 and the late sync sweep's cell 4.
 		runSim: func(rc experiment.RunConfig) (sim.Result, error) {
 			mu.Lock()
 			order = append(order, fmt.Sprintf("%g", rc.MeasureS))
@@ -211,24 +212,41 @@ func TestInteractiveOvertakesBulk(t *testing.T) {
 		return waiting[prioInteractive] == 1
 	})
 
+	// 4. A sync sweep arrives last; its cell queues as interactive too.
+	const syncSweep = `{"scenarios":["sdr-radio"],"policies":["tb"],"delta":3,"warmup_s":0.5,"measure_s":4}`
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, b := do(t, http.MethodPost, ts.URL+"/matrix", syncSweep)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("sync /matrix: status %d: %s", resp.StatusCode, b)
+		}
+	}()
+	waitFor(t, "sync sweep cell to wait for a slot", func() bool {
+		waiting, _ := s.slots.depths()
+		return waiting[prioInteractive] == 2
+	})
+
 	// Saturation is visible in /stats before anything is released.
 	st := s.Stats()
-	if st.Admission.ExecQueue.Free != 0 || st.Admission.ExecQueue.WaitingInteractive != 1 {
-		t.Errorf("/stats exec_queue = %+v, want 0 free and 1 interactive waiter", st.Admission.ExecQueue)
+	if st.Admission.ExecQueue.Free != 0 || st.Admission.ExecQueue.WaitingInteractive != 2 {
+		t.Errorf("/stats exec_queue = %+v, want 0 free and 2 interactive waiters", st.Admission.ExecQueue)
 	}
 
-	// 4. Free the slot: it must be handed to the interactive waiter even
-	// though bulk cells were queued first.
+	// 5. Free the slot twice: both interactive waiters, in arrival
+	// order, take it even though bulk cells were queued first.
 	release <- struct{}{}
 	waitFor(t, "the freed slot's next execution", func() bool { return executed() == 2 })
+	release <- struct{}{}
+	waitFor(t, "the slot's third execution", func() bool { return executed() == 3 })
 	mu.Lock()
-	second := order[1]
+	next := append([]string(nil), order[1:3]...)
 	mu.Unlock()
-	if second != "3" {
-		t.Fatalf("second execution measures %s s, want the interactive run (3 s) ahead of the bulk cells (order %v)", second, order)
+	if next[0] != "3" || next[1] != "4" {
+		t.Fatalf("executions 2-3 measure %v s, want the interactive run (3 s) and the sync sweep cell (4 s) ahead of the bulk cells (order %v)", next, order)
 	}
 
-	// 5. Drain everything: the interactive run, then both sweep cells.
+	// 6. Drain everything: the sync sweep cell, then both job cells.
 	release <- struct{}{}
 	release <- struct{}{}
 	release <- struct{}{}
@@ -244,8 +262,8 @@ func TestInteractiveOvertakesBulk(t *testing.T) {
 		}
 		return jst.State == JobDone
 	})
-	if got := executed(); got != 4 {
-		t.Errorf("executions = %d (%v), want 4 (holder, interactive, 2 cells)", got, order)
+	if got := executed(); got != 5 {
+		t.Errorf("executions = %d (%v), want 5 (holder, interactive, sync sweep cell, 2 job cells)", got, order)
 	}
 }
 

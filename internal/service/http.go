@@ -256,24 +256,31 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeRequestError(w, err)
 		return
 	}
-	canon, mc, err := CanonicalizeMatrix(req)
+	canon, _, err := CanonicalizeMatrix(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	cells, err := matrixCells(canon)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The sync endpoint is bounded like /run, but over the whole cross
 	// product: a bare full-catalogue sweep must go through /jobs.
-	if sim := canon.simSeconds(); sim > s.cfg.MaxSyncSimS {
+	sim := sweepCost(cells)
+	if sim > s.cfg.MaxSyncSimS {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("%.0f simulated seconds across %d cells exceeds the synchronous limit of %.0f; submit it to /jobs instead",
-				sim, len(canon.Scenarios)*len(canon.Policies), s.cfg.MaxSyncSimS))
+				sim, len(cells), s.cfg.MaxSyncSimS))
 		return
 	}
-	opt := canon.thermal()
-	opt.Runner = s.cfg.Runner
 	key := canon.Key()
 	w.Header().Set("X-Content-Key", key)
-	body, cacheState, err := s.executeMatrix(r.Context(), key, canon, mc, opt, &rec)
+	// Interactive class with the whole cross product's cost: the
+	// sweep's cells queue for slots like sync /run, ahead of bulk work.
+	cls := execClass{prio: prioInteractive, cost: sim}
+	body, cacheState, err := s.executeMatrix(r.Context(), key, canon, cells, cls, &rec, nil)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return

@@ -1,11 +1,9 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -263,7 +261,7 @@ func (m *jobManager) submit(jr JobRequest, recovered bool) (*job, error) {
 		}
 		j.matrix, j.cells, j.key = &canon, cells, canon.Key()
 		j.progress = JobProgress{TotalCells: len(cells)}
-		j.cost = canon.simSeconds()
+		j.cost = sweepCost(cells)
 	default:
 		return nil, fmt.Errorf("unknown job kind %q (run | matrix)", kind)
 	}
@@ -425,7 +423,8 @@ func (m *jobManager) cellDone(j *job, state string) {
 }
 
 // allCellsCached marks a matrix job whose whole-sweep body was already
-// cached or stored: every cell is settled without executing anything.
+// cached, stored or in flight for another request: every cell is
+// settled without this job executing anything.
 func (m *jobManager) allCellsCached(j *job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -488,17 +487,27 @@ func (s *Server) jobWorker() {
 			if j.kind == "matrix" {
 				kind = epMatrix
 			}
+			// Bulk class, cost 0: the job reserved its cost at submit,
+			// and async work never overtakes interactive requests in the
+			// slot queue. The job's timing surfaces through the job
+			// histograms (queue wait, duration), so rec is discarded.
+			cls := execClass{prio: prioBulk}
+			var rec obs.TimingRecord
 			var body []byte
 			var err error
 			switch j.kind {
 			case "matrix":
-				body, err = s.executeMatrixJob(j)
+				var state string
+				body, state, err = s.executeMatrix(s.base, j.key, *j.matrix, j.cells, cls, &rec,
+					func(cellState string) { s.jobs.cellDone(j, cellState) })
+				if err == nil && state != "miss" {
+					// Served by the cache, the store or another request's
+					// execution: every cell settled without this job
+					// running any.
+					s.jobs.allCellsCached(j)
+				}
 			default:
-				var rec obs.TimingRecord
-				// Bulk class, cost 0: the job reserved its cost at
-				// submit, and async work never overtakes interactive
-				// requests in the slot queue.
-				body, _, err = s.executeRun(s.base, j.key, execClass{prio: prioBulk}, *j.run, j.rc, &rec)
+				body, _, err = s.executeRun(s.base, j.key, cls, *j.run, j.rc, &rec)
 			}
 			if err != nil && s.base.Err() != nil {
 				// The server is shutting down mid-job, not the job
@@ -511,111 +520,6 @@ func (s *Server) jobWorker() {
 			s.metrics.jobDuration[kind].Observe(j.finished.Sub(j.started))
 		}
 	}
-}
-
-// executeMatrixJob runs one decomposed sweep: every (scenario, policy)
-// cell goes through the standard execute path — cache, durable store,
-// coalescing, engine — so each cell's result persists individually
-// the moment it completes. A job interrupted by a kill therefore
-// resumes from its completed cells on the next submission: those are
-// store hits, and only the missing cells execute. Cells fan out
-// across the configured Runner worker count; total engine concurrency
-// stays bounded by MaxSims, since every cell execution holds a
-// MaxSims slot like any other run.
-func (s *Server) executeMatrixJob(j *job) ([]byte, error) {
-	// The assembled whole-sweep body may itself be cached or stored
-	// (an identical sweep already completed): nothing to decompose.
-	if body, _, ok := s.lookup(j.key, false); ok {
-		s.jobs.allCellsCached(j)
-		return body, nil
-	}
-	// The sweep runs under the flight group on the matrix key, like the
-	// sync /matrix path: an identical sweep in flight — either form —
-	// is joined, not duplicated. The job's timing surfaces through the
-	// job histograms (queue wait, duration), not a request record, so
-	// the record here is a local scratch for the flight plumbing.
-	var rec obs.TimingRecord
-	ranCells := false
-	body, _, err := s.flight.Do(s.base, j.key, &rec, func(_ *obs.TimingRecord) ([]byte, error) {
-		if body, _, ok := s.lookup(j.key, true); ok {
-			return body, nil
-		}
-		ranCells = true
-		return s.executeMatrixCells(j)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !ranCells {
-		// Served by the cache, the store or another request's
-		// execution: every cell settled without this job running any.
-		s.jobs.allCellsCached(j)
-	}
-	return body, nil
-}
-
-// executeMatrixCells is the decomposed sweep execution itself (the
-// flight leader's body in executeMatrixJob).
-func (s *Server) executeMatrixCells(j *job) ([]byte, error) {
-	workers := s.cfg.Runner.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ctx, cancel := context.WithCancel(s.base)
-	defer cancel()
-	var (
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, workers)
-		bodies  = make([][]byte, len(j.cells))
-		errOnce sync.Once
-		jobErr  error
-	)
-	for i, cell := range j.cells {
-		if ctx.Err() != nil {
-			break // a cell failed or the server is closing
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, cell cellTask) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var cellRec obs.TimingRecord
-			// Cells ride the job's submit-time cost reservation (cost
-			// 0) and queue at bulk priority, behind any interactive
-			// /run waiting for a slot.
-			body, state, err := s.executeRun(ctx, cell.req.Key(), execClass{prio: prioBulk}, cell.req, cell.rc, &cellRec)
-			if err != nil {
-				errOnce.Do(func() {
-					jobErr = fmt.Errorf("cell %s/%s: %w", cell.req.Scenario, cell.req.Policy, err)
-					cancel()
-				})
-				return
-			}
-			bodies[i] = body
-			s.jobs.cellDone(j, state)
-		}(i, cell)
-	}
-	wg.Wait()
-	if jobErr != nil {
-		return nil, jobErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sweep interrupted: %w", err)
-	}
-	doc, err := assembleMatrixDoc(*j.matrix, j.cells, bodies)
-	if err != nil {
-		return nil, err
-	}
-	body, err := EncodeDoc(doc)
-	if err != nil {
-		return nil, err
-	}
-	// The assembled sweep is cached and persisted under the matrix key
-	// like any monolithic result, so re-submitting the identical sweep
-	// — or POSTing it to /matrix — is a pure hit.
-	s.cache.Add(j.key, body)
-	s.storePut(j.key, body)
-	return body, nil
 }
 
 // ---------------------------------------------------------------------

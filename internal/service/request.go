@@ -319,36 +319,6 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, experiment.MatrixConf
 	return c, mc, nil
 }
 
-// simSeconds returns the total simulated time of the sweep — each
-// cell's warmup + measure phases (the request's overrides where
-// positive, otherwise the scenario's or the paper's defaults), summed
-// over the scenarios × policies cross product. The sync /matrix
-// endpoint bounds this like /run bounds a single request. Call on
-// canonical requests, whose scenario names always resolve.
-func (c MatrixRequest) simSeconds() float64 {
-	var total float64
-	for _, name := range c.Scenarios {
-		sc, err := scenario.Lookup(name)
-		if err != nil {
-			continue
-		}
-		w, m := experiment.Phases(sc, c.WarmupS, c.MeasureS)
-		total += (w + m) * float64(len(c.Policies))
-	}
-	return total
-}
-
-// thermal reconstructs the integrator configuration of a canonical
-// matrix request (for the experiment Options).
-func (c MatrixRequest) thermal() experiment.Options {
-	cfg, err := cliutil.ParseIntegrator(c.Integrator)
-	if err != nil {
-		// Canonical requests always carry a valid scheme name.
-		panic(fmt.Sprintf("service: canonical integrator %q: %v", c.Integrator, err))
-	}
-	return experiment.Options{Thermal: cfg}
-}
-
 // keyString is the matrix hash pre-image; layout frozen like
 // Request.keyString.
 func (c MatrixRequest) keyString() string {
@@ -469,6 +439,17 @@ func matrixCells(canon MatrixRequest) ([]cellTask, error) {
 		}
 	}
 	return cells, nil
+}
+
+// sweepCost is a sweep's estimated simulated seconds: its cells'
+// warmup + measure phases, summed over the cross product. The sync
+// /matrix endpoint bounds it like /run bounds a single request.
+func sweepCost(cells []cellTask) float64 {
+	var total float64
+	for _, c := range cells {
+		total += c.req.WarmupS + c.req.MeasureS
+	}
+	return total
 }
 
 // assembleMatrixDoc splices individually persisted per-cell run bodies

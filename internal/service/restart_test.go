@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -137,17 +136,12 @@ func TestMatrixJobResumesFromCompletedCells(t *testing.T) {
 
 	// The hit comparison above reads the job's own assembled bytes
 	// back; the invariant is stronger — splicing persisted cell bodies
-	// must equal what a cold monolithic sweep encodes. A fresh
-	// memory-only server runs the sweep through experiment.MatrixWith
-	// with nothing cached.
-	_, tsFresh := newTestServer(t, Config{})
-	resp, freshBody := do(t, http.MethodPost, tsFresh.URL+"/matrix",
-		`{"scenarios":["sdr-radio"],"policies":["eb","tb"],"warmup_s":0.3,"measure_s":0.5}`)
-	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Fatalf("fresh sweep X-Cache = %q, want miss", got)
-	}
-	if !bytes.Equal(bytes.TrimRight(freshBody, "\n"), bytes.TrimRight(done.Result, "\n")) {
-		t.Error("assembled sweep document differs from a cold monolithic /matrix sweep")
+	// must equal what a cold monolithic sweep encodes in process.
+	want := monolithicMatrixBody(t, MatrixRequest{
+		Scenarios: []string{"sdr-radio"}, Policies: []string{"eb", "tb"}, WarmupS: 0.3, MeasureS: 0.5,
+	})
+	if !bytes.Equal(bytes.TrimRight(want, "\n"), bytes.TrimRight(done.Result, "\n")) {
+		t.Error("assembled sweep document differs from a cold monolithic sweep")
 	}
 }
 
@@ -295,35 +289,17 @@ func TestMatrixJobCoalescesWithSyncSweep(t *testing.T) {
 	release := make(chan struct{})
 	var cellExecs atomic.Int64
 	s, ts := newTestServer(t, Config{
-		runMatrix: func(ctx context.Context, mc experiment.MatrixConfig, opt experiment.Options) ([]experiment.MatrixCell, error) {
-			<-release
-			var cells []experiment.MatrixCell
-			for _, sn := range mc.Scenarios {
-				for _, pn := range mc.Policies {
-					cells = append(cells, experiment.MatrixCell{Scenario: sn, Policy: pn})
-				}
-			}
-			return cells, nil
-		},
 		runSim: func(rc experiment.RunConfig) (sim.Result, error) {
 			cellExecs.Add(1)
+			<-release
 			return sim.Result{PolicyName: rc.PolicyName}, nil
 		},
 	})
 	const sweep = `{"scenarios":["sdr-radio"],"policies":["eb","tb"],"warmup_s":0.3,"measure_s":0.5}`
 	// Plain client call: t.Fatal is not legal off the test goroutine,
-	// and the flight-count poll below is the actual synchronization.
+	// and the execution-count poll below is the actual synchronization.
 	go http.Post(ts.URL+"/matrix", "application/json", strings.NewReader(sweep))
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if inflight, _ := s.flight.counts(); inflight == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sync sweep never took flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the sync sweep's first cell to enter the engine", func() bool { return cellExecs.Load() >= 1 })
 
 	_, b := do(t, http.MethodPost, ts.URL+"/jobs", `{"matrix":`+sweep+`}`)
 	var submitted JobStatus
@@ -331,20 +307,14 @@ func TestMatrixJobCoalescesWithSyncSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The job's worker must join the sync flight, not start cells.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		if _, coalesced := s.flight.counts(); coalesced == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("matrix job never joined the in-flight sync sweep")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the matrix job to join the in-flight sync sweep", func() bool {
+		_, coalesced := s.flight.counts()
+		return coalesced == 1
+	})
 	close(release)
 	done := waitState(t, ts, submitted.ID, JobDone)
-	if got := cellExecs.Load(); got != 0 {
-		t.Errorf("coalesced matrix job executed %d cells, want 0", got)
+	if got := cellExecs.Load(); got != 2 {
+		t.Errorf("engine executed %d cells, want only the sync sweep's 2", got)
 	}
 	if p := done.Progress; p == nil || p.CompletedCells != 2 || p.CachedCells != 2 || p.ExecutedCells != 0 {
 		t.Errorf("coalesced sweep progress = %+v, want 2 completed / 2 cached / 0 executed", done.Progress)
