@@ -11,9 +11,11 @@
 package floorplan
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -123,15 +125,10 @@ func New(blocks []Block) (*Floorplan, error) {
 		}
 		byName[b.Name] = i
 	}
-	for i := 0; i < len(blocks); i++ {
-		for j := i + 1; j < len(blocks); j++ {
-			if overlapArea(blocks[i], blocks[j]) > geomEps {
-				return nil, fmt.Errorf("floorplan: blocks %q and %q overlap", blocks[i].Name, blocks[j].Name)
-			}
-		}
-	}
 	fp := &Floorplan{Blocks: append([]Block(nil), blocks...), byName: byName}
-	fp.computeAdjacency()
+	if err := fp.computeAdjacency(); err != nil {
+		return nil, err
+	}
 	return fp, nil
 }
 
@@ -177,16 +174,48 @@ func sharedEdge(a, b Block) float64 {
 	return 0
 }
 
-func (fp *Floorplan) computeAdjacency() {
+// computeAdjacency derives the adjacency relation and rejects
+// overlapping blocks in one sort-and-sweep over the blocks ordered by
+// X: two blocks can only overlap or share an edge if their x-intervals
+// touch, so each block is tested only against the blocks that start
+// before its right edge (plus a slack of 2·geomEps, so the window never
+// prunes a pair the exact tests would accept). An overlap is reported
+// for the smallest (i, j) index pair, and the adjacencies come out
+// sorted by (A, B) — exactly what testing every pair in index order
+// produces.
+func (fp *Floorplan) computeAdjacency() error {
+	blocks := fp.Blocks
+	order := make([]int, len(blocks))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		if c := cmp.Compare(blocks[i].X, blocks[j].X); c != 0 {
+			return c
+		}
+		return i - j
+	})
 	fp.Adjacencies = fp.Adjacencies[:0]
-	for i := 0; i < len(fp.Blocks); i++ {
-		for j := i + 1; j < len(fp.Blocks); j++ {
-			e := sharedEdge(fp.Blocks[i], fp.Blocks[j])
+	overlapI, overlapJ := -1, -1
+	for k, a := range order {
+		right := blocks[a].X + blocks[a].W + 2*geomEps
+		for _, b := range order[k+1:] {
+			if blocks[b].X > right {
+				break
+			}
+			i, j := min(a, b), max(a, b)
+			if overlapArea(blocks[i], blocks[j]) > geomEps {
+				if overlapI < 0 || i < overlapI || (i == overlapI && j < overlapJ) {
+					overlapI, overlapJ = i, j
+				}
+				continue
+			}
+			e := sharedEdge(blocks[i], blocks[j])
 			if e <= 0 {
 				continue
 			}
-			dx := fp.Blocks[i].CenterX() - fp.Blocks[j].CenterX()
-			dy := fp.Blocks[i].CenterY() - fp.Blocks[j].CenterY()
+			dx := blocks[i].CenterX() - blocks[j].CenterX()
+			dy := blocks[i].CenterY() - blocks[j].CenterY()
 			fp.Adjacencies = append(fp.Adjacencies, Adjacency{
 				A: i, B: j,
 				SharedEdge: e,
@@ -194,13 +223,16 @@ func (fp *Floorplan) computeAdjacency() {
 			})
 		}
 	}
-	sort.Slice(fp.Adjacencies, func(x, y int) bool {
-		ax, ay := fp.Adjacencies[x], fp.Adjacencies[y]
-		if ax.A != ay.A {
-			return ax.A < ay.A
+	if overlapI >= 0 {
+		return fmt.Errorf("floorplan: blocks %q and %q overlap", blocks[overlapI].Name, blocks[overlapJ].Name)
+	}
+	slices.SortFunc(fp.Adjacencies, func(x, y Adjacency) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
 		}
-		return ax.B < ay.B
+		return cmp.Compare(x.B, y.B)
 	})
+	return nil
 }
 
 // Index returns the index of the named block and whether it exists.

@@ -18,8 +18,9 @@ type Scheduler struct {
 	queues [][]int
 	// cursor[c] is the RR position for core c.
 	cursor []int
-	// coreOf maps a task index to its core (-1 when unmapped).
-	coreOf map[int]int
+	// coreOf[ti] is task ti's core, or -1 when unmapped. It grows on
+	// Assign to cover the largest task index seen.
+	coreOf []int
 }
 
 // New creates a scheduler for n cores.
@@ -30,7 +31,6 @@ func New(n int) *Scheduler {
 	return &Scheduler{
 		queues: make([][]int, n),
 		cursor: make([]int, n),
-		coreOf: make(map[int]int),
 	}
 }
 
@@ -42,10 +42,15 @@ func (s *Scheduler) Assign(ti, c int) error {
 	if c < 0 || c >= len(s.queues) {
 		return fmt.Errorf("sched: core %d out of range", c)
 	}
-	if prev, ok := s.coreOf[ti]; ok {
-		if prev == c {
-			return nil
-		}
+	if ti < 0 {
+		return fmt.Errorf("sched: task %d out of range", ti)
+	}
+	for len(s.coreOf) <= ti {
+		s.coreOf = append(s.coreOf, -1)
+	}
+	if prev := s.coreOf[ti]; prev == c {
+		return nil
+	} else if prev >= 0 {
 		s.removeFrom(ti, prev)
 	}
 	s.queues[c] = append(s.queues[c], ti)
@@ -56,9 +61,9 @@ func (s *Scheduler) Assign(ti, c int) error {
 // Remove takes task ti off its core entirely (e.g. while frozen in a
 // migration, the task sits in neither run queue).
 func (s *Scheduler) Remove(ti int) {
-	if c, ok := s.coreOf[ti]; ok {
+	if c := s.CoreOf(ti); c >= 0 {
 		s.removeFrom(ti, c)
-		delete(s.coreOf, ti)
+		s.coreOf[ti] = -1
 	}
 }
 
@@ -82,10 +87,10 @@ func (s *Scheduler) removeFrom(ti, c int) {
 
 // CoreOf returns the core of task ti, or -1 when unmapped.
 func (s *Scheduler) CoreOf(ti int) int {
-	if c, ok := s.coreOf[ti]; ok {
-		return c
+	if ti < 0 || ti >= len(s.coreOf) {
+		return -1
 	}
-	return -1
+	return s.coreOf[ti]
 }
 
 // TasksOn returns the task indices mapped to core c, in a stable sorted
@@ -152,8 +157,10 @@ func (s *Scheduler) AdvancePast(c, ti int) {
 // Mapping returns a copy of the full task→core map.
 func (s *Scheduler) Mapping() map[int]int {
 	m := make(map[int]int, len(s.coreOf))
-	for k, v := range s.coreOf {
-		m[k] = v
+	for ti, c := range s.coreOf {
+		if c >= 0 {
+			m[ti] = c
+		}
 	}
 	return m
 }

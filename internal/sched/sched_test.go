@@ -74,6 +74,31 @@ func TestRemove(t *testing.T) {
 		t.Errorf("TasksOn = %v", got)
 	}
 	s.Remove(99) // no-op must not panic
+	s.Remove(-1)
+}
+
+// The task→core table is a slice indexed by task: gaps and removed
+// tasks read as unmapped, and Mapping lists only mapped tasks.
+func TestCoreOfTableAndMapping(t *testing.T) {
+	s := New(2)
+	if err := s.Assign(5, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Assign(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Assign(-1, 0); err == nil {
+		t.Error("negative task index accepted")
+	}
+	for ti, want := range []int{-1, -1, 0, -1, -1, 1, -1} {
+		if got := s.CoreOf(ti); got != want {
+			t.Errorf("CoreOf(%d) = %d, want %d", ti, got, want)
+		}
+	}
+	s.Remove(5)
+	if m := s.Mapping(); len(m) != 1 || m[2] != 0 {
+		t.Errorf("Mapping = %v, want map[2:0]", m)
+	}
 }
 
 func TestPickNextRoundRobin(t *testing.T) {

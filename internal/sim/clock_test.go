@@ -72,6 +72,13 @@ func snapshotRun(e *sim.Engine) fingerprint {
 // default policy with the engine knobs given.
 func buildScenarioEngine(t *testing.T, name string, cfg sim.Config) *sim.Engine {
 	t.Helper()
+	return buildScenarioPolicyEngine(t, name, "", cfg)
+}
+
+// buildScenarioPolicyEngine is buildScenarioEngine under the named
+// policy (empty: the scenario's default) at the scenario's delta.
+func buildScenarioPolicyEngine(t *testing.T, name, pol string, cfg sim.Config) *sim.Engine {
+	t.Helper()
 	sc, err := scenario.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +87,15 @@ func buildScenarioEngine(t *testing.T, name string, cfg sim.Config) *sim.Engine 
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := policy.New(sc.DefaultPolicy, policy.Args{Delta: sc.DefaultDelta})
+	if pol == "" {
+		pol = sc.DefaultPolicy
+	}
+	p, err := policy.New(pol, policy.Args{Delta: sc.DefaultDelta})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Modulate = inst.Modulate
-	e, err := sim.New(cfg, inst.Platform, inst.Graph, pol)
+	e, err := sim.New(cfg, inst.Platform, inst.Graph, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,21 +161,28 @@ func TestSplitRunSixtySeconds(t *testing.T) {
 func TestFastPathBitForBit(t *testing.T) {
 	cases := []struct {
 		scenario string
+		pol      string // empty: the scenario's default
 		cfg      sim.Config
 		dur      float64
 	}{
-		{"sdr-radio", sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5, RecordTrace: true}, 17},
-		{"video-decoder", sim.Config{PolicyStartS: 5, MeasureStartS: 5, RecordTrace: true}, 12},
-		{"bursty-sdr", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 9},
-		{"manycore-8", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 4},
+		{"sdr-radio", "", sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5, RecordTrace: true}, 17},
+		{"video-decoder", "", sim.Config{PolicyStartS: 5, MeasureStartS: 5, RecordTrace: true}, 12},
+		{"bursty-sdr", "", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 9},
+		{"manycore-8", "", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 4},
+		{"manycore-32", "", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 3},
+		{"manycore-16", "stop-go", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 4},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.scenario, func(t *testing.T) {
-			fast := buildScenarioEngine(t, tc.scenario, tc.cfg)
+		name := tc.scenario
+		if tc.pol != "" {
+			name += "/" + tc.pol
+		}
+		t.Run(name, func(t *testing.T) {
+			fast := buildScenarioPolicyEngine(t, tc.scenario, tc.pol, tc.cfg)
 			slowCfg := tc.cfg
 			slowCfg.NoFastPath = true
-			slow := buildScenarioEngine(t, tc.scenario, slowCfg)
+			slow := buildScenarioPolicyEngine(t, tc.scenario, tc.pol, slowCfg)
 			if err := fast.Run(tc.dur); err != nil {
 				t.Fatal(err)
 			}

@@ -102,7 +102,8 @@ type Engine struct {
 	// power-state changes each core's frequency is too, so the affine
 	// power model integrates exactly over the whole span. pendTicks is
 	// integer so span lengths are identical whether the span was walked
-	// tick-by-tick or jumped by the fast path.
+	// tick-by-tick or jumped by the fast path. Every core accrues
+	// pendTicks whether or not it is in the active set.
 	pendTicks       []int64   // per-core un-accounted ticks
 	pendBusy        []float64 // per-core un-accounted busy cycles
 	lastSharedFlush int64     // tick of the last shared-memory flush
@@ -120,14 +121,29 @@ type Engine struct {
 	// scan (see evCache in horizon.go).
 	evSrc, evSink, evMigr evCache
 
+	// active is the active-core set (see horizon.go): every core that
+	// may hold an in-flight or fireable task. stepTick and horizonTicks
+	// visit only its members. Cores join through wake (queue changes
+	// reported by the graph) and onMigrationComplete, and leave only
+	// when runCore or horizonTicks observes them idle.
+	active coreSet
+
 	// Fast-path scratch (reused across macro-steps). The horizon scan
-	// records each core's allocation ring — its allocatable tasks in
-	// pick order — as ringFlat[ringOff[c]:ringOff[c+1]], and macroStep
-	// replays it without rescanning the run queues.
+	// records the allocation ring — the allocatable tasks in pick order
+	// — of each core that has one: ring k belongs to core ringCore[k]
+	// and is ringFlat[ringOff[k]:ringOff[k+1]]. macroStep replays the
+	// rings without rescanning the run queues.
 	runnableFn func(int) bool // the tick path's PickNext predicate
 	orderBuf   []int
 	ringFlat   []int
 	ringOff    []int
+	ringCore   []int
+
+	stats Stats
+
+	// afterStep, when non-nil, runs after every Run iteration. It is a
+	// test seam (see export_test.go), not a configuration option.
+	afterStep func()
 
 	temps    *metrics.TempCollector
 	rec      *trace.Recorder
@@ -171,7 +187,9 @@ func New(cfg Config, plat *mpsoc.Platform, g *stream.Graph, pol policy.Policy) (
 		temps:     metrics.NewTempCollector(n),
 		pendTicks: make([]int64, n),
 		pendBusy:  make([]float64, n),
-		ringOff:   make([]int, n+1),
+		active:    newCoreSet(n),
+		ringOff:   make([]int, 0, n+1),
+		ringCore:  make([]int, 0, n),
 		spanExact: cfg.Thermal.Scheme == thermal.Expm,
 	}
 	e.runnableFn = func(ti int) bool {
@@ -206,6 +224,7 @@ func New(cfg Config, plat *mpsoc.Platform, g *stream.Graph, pol policy.Policy) (
 		e.updateDVFS(c)
 	}
 	e.migr.OnComplete = e.onMigrationComplete
+	g.SetWakeHook(e.wake)
 	e.snapshot = policy.Snapshot{
 		Temp:    make([]float64, n),
 		Freq:    make([]float64, n),
@@ -303,12 +322,45 @@ func (e *Engine) fseMapped(c int) float64 {
 	return fse
 }
 
+// Stats counts the engine's work since construction. It is diagnostic
+// only: no run document, cache body or content key includes it.
+type Stats struct {
+	// TicksStepped counts ticks executed by the plain per-tick path.
+	TicksStepped int64
+	// TicksJumped counts ticks skipped by fast-path macro-steps.
+	TicksJumped int64
+	// MacroSteps counts fast-path macro-steps.
+	MacroSteps int64
+	// ZeroHorizons counts horizon scans that found the very next tick
+	// eventful.
+	ZeroHorizons int64
+	// CoreVisits counts runCore calls on stepped ticks: the active-set
+	// members visited, against NumCores per tick for a full scan.
+	CoreVisits int64
+}
+
+// Stats returns the work counters accumulated so far.
+func (e *Engine) Stats() Stats { return e.stats }
+
+// wake is the graph's wake hook: the cores of tasks a queue change may
+// have made fireable join the active set.
+func (e *Engine) wake(tasks []int) {
+	for _, ti := range tasks {
+		if c := e.sch.CoreOf(ti); c >= 0 {
+			e.active.add(c)
+		}
+	}
+}
+
 // onMigrationComplete rebinds the scheduler and DVFS after the
-// middleware finishes a transfer.
+// middleware finishes a transfer. The unfrozen task may be fireable on
+// its destination, so that core joins the active set; the source only
+// lost a task.
 func (e *Engine) onMigrationComplete(mg *migrate.Migration) {
 	if err := e.sch.Assign(mg.TaskIdx, mg.Dst); err != nil {
 		panic(fmt.Sprintf("sim: migration completion rebind: %v", err))
 	}
+	e.active.add(mg.Dst)
 	e.updateDVFS(mg.Src)
 	e.updateDVFS(mg.Dst)
 	if e.rec != nil {
@@ -337,6 +389,9 @@ func (e *Engine) Run(duration float64) error {
 				return err
 			}
 		}
+		if e.afterStep != nil {
+			e.afterStep()
+		}
 	}
 	return nil
 }
@@ -352,6 +407,7 @@ func (e *Engine) advance(end int64) {
 	}
 	span := e.horizonTicks(max)
 	if span <= 0 {
+		e.stats.ZeroHorizons++
 		e.stepTick(e.cfg.TickS)
 		return
 	}
@@ -363,15 +419,25 @@ func (e *Engine) advance(end int64) {
 	}
 }
 
-// stepTick advances one execution tick.
+// stepTick advances one execution tick. Only active cores run; the
+// set is re-read as the loop goes, so a higher-index core woken
+// mid-tick (by a lower-index core's FinishFrame) still runs this tick,
+// as it would in a scan of every core. Idle cores only accrue time.
 func (e *Engine) stepTick(tick float64) {
 	e.ticks++
 	e.now = float64(e.ticks) * tick
+	e.stats.TicksStepped++
 	e.graph.AdvanceSource(e.now)
 
-	n := e.plat.NumCores()
-	for c := 0; c < n; c++ {
+	for c := e.active.next(0); c >= 0; c = e.active.next(c + 1) {
+		e.stats.CoreVisits++
 		e.runCore(c, tick)
+	}
+	// After the core loop, so a flush inside runCore(c) (a freeze's
+	// DVFS update) settles the span before this tick, and after it the
+	// tick belongs to the new operating point.
+	for c := range e.pendTicks {
+		e.pendTicks[c]++
 	}
 
 	e.plat.Bus.Advance(tick)
@@ -380,11 +446,12 @@ func (e *Engine) stepTick(tick float64) {
 	e.graph.AdvanceSink(e.now)
 }
 
-// runCore executes up to one tick of work on core c.
+// runCore executes up to one tick of work on core c. A core found with
+// nothing to pick leaves the active set; a stopped core keeps its
+// membership, since it was not observed idle.
 func (e *Engine) runCore(c int, tick float64) {
 	f := e.plat.Frequency(c)
 	if f <= 0 {
-		e.pendTicks[c]++
 		return
 	}
 	budget := f * tick
@@ -392,6 +459,7 @@ func (e *Engine) runCore(c int, tick float64) {
 	for budget > 1e-6 {
 		ti := e.sch.PickNext(c, e.runnableFn)
 		if ti < 0 {
+			e.active.remove(c)
 			break
 		}
 		t := e.graph.Task(ti)
@@ -429,7 +497,6 @@ func (e *Engine) runCore(c int, tick float64) {
 			}
 		}
 	}
-	e.pendTicks[c]++
 	e.pendBusy[c] += busy
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The event-horizon fast path.
@@ -33,6 +34,29 @@ import (
 //     replay (bus.Bus.AdvanceTicks), so migrations in their transfer
 //     phase do not force the whole span back to plain ticking
 //   - the sensor/policy boundary (capped by the caller)
+//
+// The active-core set.
+//
+// Both the plain tick and the horizon scan visit only the cores of the
+// active set, a bitset kept conservatively by one invariant:
+//
+//	a core outside the set holds no in-flight task and no task that
+//	could begin a frame (Graph.CanFire)
+//
+// Such a core would do nothing on a plain tick and contributes nothing
+// to the horizon bound or the macro-step rings, so skipping it changes
+// no value the engine computes: every horizon, and therefore every
+// macro-step span, is the one a scan of all cores would find (this
+// matters under expm, where Task.ExecuteSpan rounds once per span).
+//
+// A task's firing condition can only become true when a queue it reads
+// gains a frame or a queue it writes loses one, or when it unfreezes.
+// So cores join when the graph's wake hook reports a push (the queue's
+// consumers) or a pop (its producers), and when a migration completes
+// (its destination). Cores leave only when observed idle: PickNext
+// finds nothing in runCore, or the horizon scan finds an empty ring
+// and nothing fireable. A stopped core (frequency 0) is never observed,
+// so it keeps whatever membership it had.
 
 // maxHorizon bounds ticksUntil results so later additions cannot
 // overflow; any real horizon is far smaller (the sensor period caps it).
@@ -75,10 +99,11 @@ func (e *Engine) horizonTicks(maxSpan int64) int64 {
 	// would begin a frame (both change queue state, hence global).
 	// The same pass records the allocation rings macroStep will replay,
 	// so the run queues are only scanned once per fast-path group.
-	n := e.plat.NumCores()
+	// Cores outside the active set have neither, so they are skipped.
 	e.ringFlat = e.ringFlat[:0]
-	for c := 0; c < n; c++ {
-		e.ringOff[c] = len(e.ringFlat)
+	e.ringOff = e.ringOff[:0]
+	e.ringCore = e.ringCore[:0]
+	for c := e.active.next(0); c >= 0; c = e.active.next(c + 1) {
 		f := e.plat.Frequency(c)
 		if f <= 0 {
 			continue
@@ -90,6 +115,7 @@ func (e *Engine) horizonTicks(maxSpan int64) int64 {
 		e.orderBuf = e.sch.OrderFrom(c, e.orderBuf)
 		// First pass: collect the allocatable tasks (the round-robin
 		// ring, in pick order).
+		off := len(e.ringFlat)
 		for _, ti := range e.orderBuf {
 			t := e.graph.Task(ti)
 			if !t.Runnable() {
@@ -101,11 +127,14 @@ func (e *Engine) horizonTicks(maxSpan int64) int64 {
 				return 0 // BeginFrame due on the very next tick
 			}
 		}
-		ring := e.ringFlat[e.ringOff[c]:]
+		ring := e.ringFlat[off:]
 		m := int64(len(ring))
 		if m == 0 {
-			continue // idle core: accounting only, no events
+			e.active.remove(c) // idle core: accounting only, no events
+			continue
 		}
+		e.ringCore = append(e.ringCore, c)
+		e.ringOff = append(e.ringOff, off)
 		// Second pass: task at ring position p receives budget on ticks
 		// p+1, p+1+m, ...; it certainly cannot complete during its first
 		// floor(remaining/budget)-1 allocations (one whole allocation of
@@ -123,7 +152,7 @@ func (e *Engine) horizonTicks(maxSpan int64) int64 {
 			}
 		}
 	}
-	e.ringOff[n] = len(e.ringFlat)
+	e.ringOff = append(e.ringOff, len(e.ringFlat))
 	return h
 }
 
@@ -205,14 +234,14 @@ func (e *Engine) ticksUntil(at float64) int64 {
 // left it.
 func (e *Engine) macroStep(span int64) {
 	tick := e.cfg.TickS
-	n := e.plat.NumCores()
-	for c := 0; c < n; c++ {
+	e.stats.MacroSteps++
+	e.stats.TicksJumped += span
+	for c := range e.pendTicks {
 		e.pendTicks[c] += span
-		ring := e.ringFlat[e.ringOff[c]:e.ringOff[c+1]]
+	}
+	for k, c := range e.ringCore {
+		ring := e.ringFlat[e.ringOff[k]:e.ringOff[k+1]]
 		m := int64(len(ring))
-		if m == 0 {
-			continue
-		}
 		budget := e.plat.Frequency(c) * tick
 		for p, ti := range ring {
 			// Ring position p is allocated on ticks p+1, p+1+m, ...
@@ -245,4 +274,36 @@ func (e *Engine) macroStep(span int64) {
 	e.plat.Bus.AdvanceTicks(tick, span)
 	e.ticks += span
 	e.now = float64(e.ticks) * tick
+}
+
+// coreSet is a bitset over core indices.
+type coreSet []uint64
+
+func newCoreSet(n int) coreSet {
+	s := make(coreSet, (n+63)/64)
+	for c := 0; c < n; c++ {
+		s.add(c)
+	}
+	return s
+}
+
+func (s coreSet) add(c int)    { s[c>>6] |= 1 << (uint(c) & 63) }
+func (s coreSet) remove(c int) { s[c>>6] &^= 1 << (uint(c) & 63) }
+
+// next returns the smallest member >= c, or -1. It reads the words as
+// it goes, so members added above c since the last call are found.
+func (s coreSet) next(c int) int {
+	w := c >> 6
+	if w >= len(s) {
+		return -1
+	}
+	word := s[w] &^ (1<<(uint(c)&63) - 1)
+	for word == 0 {
+		w++
+		if w >= len(s) {
+			return -1
+		}
+		word = s[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
 }

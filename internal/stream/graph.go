@@ -26,6 +26,13 @@ type Graph struct {
 	// pendingFrame tracks the frame identity each in-flight task
 	// carries between BeginFrame and FinishFrame. Sized by Finalize.
 	pendingFrame []Frame
+
+	// consumers[q] and producers[q] list the tasks that read and write
+	// queue q, in index order. Built by Finalize.
+	consumers, producers [][]int
+	// onWake, when non-nil, receives the tasks a queue change may have
+	// made fireable (see SetWakeHook).
+	onWake func(tasks []int)
 }
 
 // Source paces frames into the head queue at a fixed real-time rate
@@ -197,6 +204,22 @@ func (g *Graph) CanFire(i int) bool {
 	return true
 }
 
+// SetWakeHook registers fn to be called after every successful queue
+// push or pop with the tasks whose CanFire the change may have turned
+// true: a push wakes the queue's consumers (an input became non-empty),
+// a pop wakes its producers (an output gained room). Other than a
+// task's own frame finishing or its unfreezing, queue changes are the
+// only way its firing condition can become true — the engine builds
+// its active-core set on this. Nil disables the hook.
+func (g *Graph) SetWakeHook(fn func(tasks []int)) { g.onWake = fn }
+
+// wake reports tasks to the wake hook, if any.
+func (g *Graph) wake(tasks []int) {
+	if g.onWake != nil && len(tasks) > 0 {
+		g.onWake(tasks)
+	}
+}
+
 // BeginFrame consumes one frame from every input of task i and starts
 // the task's frame work. The caller must have checked CanFire.
 func (g *Graph) BeginFrame(i int) error {
@@ -211,6 +234,7 @@ func (g *Graph) BeginFrame(i int) error {
 			// CanFire guaranteed non-empty; this is a graph bug.
 			panic(fmt.Sprintf("stream: queue %q empty during BeginFrame", g.queues[qi].Name()))
 		}
+		g.wake(g.producers[qi])
 		if first || f.Created < oldest.Created {
 			oldest = f
 			first = false
@@ -229,11 +253,11 @@ func (g *Graph) BeginFrame(i int) error {
 func (g *Graph) FinishFrame(i int) {
 	f := g.pendingFrame[i]
 	for _, qi := range g.outputs[i] {
-		if !g.queues[qi].Push(f) {
-			// Space was reserved by CanFire at begin time, but another
-			// producer sharing the queue may have raced us within the
-			// tick; count as overrun (already counted by Push).
-			continue
+		// Space was reserved by CanFire at begin time, but another
+		// producer sharing the queue may have filled it within the tick;
+		// Push then counts the overrun and nothing wakes.
+		if g.queues[qi].Push(f) {
+			g.wake(g.consumers[qi])
 		}
 	}
 }
@@ -273,7 +297,44 @@ func (g *Graph) Finalize() error {
 		}
 	}
 	g.pendingFrame = make([]Frame, len(g.tasks))
+	g.buildAdjacency()
 	return nil
+}
+
+// buildAdjacency inverts the per-task queue lists into consumers and
+// producers, in task index order, all carved from one backing array.
+func (g *Graph) buildAdjacency() {
+	nq := len(g.queues)
+	// List l < nq holds queue l's consumers, list nq+l its producers.
+	count := make([]int, 2*nq)
+	for i := range g.tasks {
+		for _, qi := range g.inputs[i] {
+			count[qi]++
+		}
+		for _, qi := range g.outputs[i] {
+			count[nq+qi]++
+		}
+	}
+	total := 0
+	for _, n := range count {
+		total += n
+	}
+	flat := make([]int, total)
+	lists := make([][]int, 2*nq)
+	off := 0
+	for l, n := range count {
+		lists[l] = flat[off : off : off+n]
+		off += n
+	}
+	for i := range g.tasks {
+		for _, qi := range g.inputs[i] {
+			lists[qi] = append(lists[qi], i)
+		}
+		for _, qi := range g.outputs[i] {
+			lists[nq+qi] = append(lists[nq+qi], i)
+		}
+	}
+	g.consumers, g.producers = lists[:nq], lists[nq:]
 }
 
 // AdvanceSource emits frames due by time now into the head queue.
@@ -287,6 +348,7 @@ func (g *Graph) AdvanceSource(now float64) {
 		f := Frame{ID: s.next, Created: s.nextEmissionAt()}
 		if g.queues[s.queue].Push(f) {
 			s.Emitted++
+			g.wake(g.consumers[s.queue])
 		} else {
 			s.Dropped++
 		}
@@ -307,6 +369,7 @@ func (g *Graph) AdvanceSink(now float64) {
 	}
 	for now >= k.nextDeadlineAt()-1e-12 {
 		if f, ok := q.Pop(); ok {
+			g.wake(g.producers[k.queue])
 			k.Consumed++
 			k.LatencySum += k.nextDeadlineAt() - f.Created
 		} else {
@@ -364,6 +427,11 @@ func (g *Graph) ResetStreamState() {
 		t.BusyCycles = 0
 		t.State = task.Ready
 		g.pendingFrame[i] = Frame{}
+	}
+	// Emptied queues and unfrozen tasks can make any task fireable.
+	for qi := range g.queues {
+		g.wake(g.consumers[qi])
+		g.wake(g.producers[qi])
 	}
 }
 

@@ -450,3 +450,45 @@ func TestNextEventQueries(t *testing.T) {
 		t.Errorf("deadline after one fire = %v, want %v", got, want)
 	}
 }
+
+// The wake hook reports exactly the tasks a queue change can make
+// fireable: a push wakes the queue's consumers, a pop its producers.
+func TestWakeHookReportsQueueChanges(t *testing.T) {
+	g := MustBuildSDR(SDRConfig{})
+	var woke []string
+	g.SetWakeHook(func(ts []int) {
+		for _, ti := range ts {
+			woke = append(woke, g.Task(ti).Name)
+		}
+	})
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if len(woke) != len(want) {
+			t.Fatalf("%s woke %v, want %v", step, woke, want)
+		}
+		for i := range want {
+			if woke[i] != want[i] {
+				t.Fatalf("%s woke %v, want %v", step, woke, want)
+			}
+		}
+		woke = nil
+	}
+	lpf, _ := g.TaskIndex("LPF")
+	demod, _ := g.TaskIndex("DEMOD")
+	finish := func(ti int) {
+		if err := g.BeginFrame(ti); err != nil {
+			t.Fatal(err)
+		}
+		if _, done := g.Task(ti).Execute(math.Inf(1)); !done {
+			t.Fatal("frame did not complete")
+		}
+		g.FinishFrame(ti)
+	}
+
+	g.AdvanceSource(0)
+	expect("source push", "LPF")
+	finish(lpf) // the pop of the source queue wakes no task
+	expect("LPF frame", "DEMOD")
+	finish(demod)
+	expect("DEMOD frame", "LPF", "BPF1", "BPF2", "BPF3")
+}
