@@ -194,18 +194,28 @@ smoke-expm:
 	$(GO) run ./cmd/thermsim -scenario manycore-64 -integrator expm -warmup 1 -measure 1
 	$(GO) test -run 'ZeroAllocs' ./internal/thermal
 
-# Declarative-spec round trip through the real CLI: export a builtin
-# as a spec, run it back through -scenario-file, and require the run
-# document — content address included — byte-identical to the named
-# run's. This is the end-to-end form of the coalescing guarantee: both
-# spellings of one workload share one key.
+# Declarative-spec round trip through the real CLI, for every
+# registered scenario: export the builtin as a spec, run it back through
+# -scenario-file, and require the run document — content address
+# included — byte-identical to the named run's. This is the end-to-end
+# form of the coalescing guarantee: both spellings of one workload share
+# one key.
+SMOKE_SPEC_DIR ?= .smoke-spec.tmp
+
 smoke-spec:
-	$(GO) run ./cmd/thermsim -scenario sdr-radio -dump-spec > .spec.tmp.json
-	$(GO) run ./cmd/thermsim -scenario-file .spec.tmp.json -policy tb -delta 3 -warmup 0.5 -measure 1 -json > .spec-run-a.json
-	$(GO) run ./cmd/thermsim -scenario sdr-radio -policy tb -delta 3 -warmup 0.5 -measure 1 -json > .spec-run-b.json
-	cmp .spec-run-a.json .spec-run-b.json
-	@rm -f .spec.tmp.json .spec-run-a.json .spec-run-b.json
-	@echo "smoke-spec: inline-spec run is byte-identical to the named run"
+	@rm -rf $(SMOKE_SPEC_DIR) && mkdir -p $(SMOKE_SPEC_DIR)
+	$(GO) build -o $(SMOKE_SPEC_DIR)/thermsim ./cmd/thermsim
+	@set -e; cd $(SMOKE_SPEC_DIR); \
+	names=$$(./thermsim -list | awk '/^Registered scenarios/ { on = 1; next } /^$$/ { on = 0 } on && $$1 != "name" { print $$1 }'); \
+	test -n "$$names" || { echo "smoke-spec: no scenarios listed"; exit 1; }; \
+	for n in $$names; do \
+		./thermsim -scenario $$n -dump-spec > $$n.spec.json; \
+		./thermsim -scenario-file $$n.spec.json -policy tb -delta 3 -warmup 0.5 -measure 1 -json > $$n.file.json; \
+		./thermsim -scenario $$n -policy tb -delta 3 -warmup 0.5 -measure 1 -json > $$n.named.json; \
+		cmp $$n.file.json $$n.named.json; \
+		echo "smoke-spec: $$n inline-spec run is byte-identical to the named run"; \
+	done
+	@rm -rf $(SMOKE_SPEC_DIR)
 
 # 20-second coverage-guided fuzz pass over the spec validator: no
 # panics, stable accept/reject verdicts, byte-stable round trips.
@@ -254,7 +264,7 @@ endif
 # bench/coverage outputs, and stray compiled test binaries
 # (`go test -c` artifacts like thermbal.test).
 clean:
-	@rm -f .bench.tmp .bench-new.json bench-ci.json coverage*.out .spec.tmp.json .spec-run-a.json .spec-run-b.json .load-new.json load-ci.json
-	@rm -rf .smoke-proof.tmp
+	@rm -f .bench.tmp .bench-new.json bench-ci.json coverage*.out .load-new.json load-ci.json
+	@rm -rf .smoke-proof.tmp .smoke-spec.tmp
 	@find . -name '*.test' -type f -delete
 	$(GO) clean ./...

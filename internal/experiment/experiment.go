@@ -292,10 +292,15 @@ func Table2() ([]Table2Row, error) {
 // Table2With is Table2 with the per-core derivations spread across
 // opt's worker pool.
 func Table2With(ctx context.Context, opt Options) ([]Table2Row, error) {
-	g, err := stream.BuildSDR(stream.SDRConfig{})
+	sc, err := scenario.Lookup(scenario.DefaultName)
 	if err != nil {
 		return nil, err
 	}
+	inst, err := sc.Instantiate(scenario.Options{})
+	if err != nil {
+		return nil, err
+	}
+	g := inst.Graph
 	ladder := dvfs.Default()
 	// Per-core FSE sums -> frequency.
 	const nCores = 3

@@ -6,12 +6,9 @@ import (
 	"strings"
 
 	"thermbal/internal/core"
-	"thermbal/internal/floorplan"
-	"thermbal/internal/mpsoc"
 	"thermbal/internal/policy"
+	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
-	"thermbal/internal/stream"
-	"thermbal/internal/thermal"
 )
 
 // Scalability study: the paper's framework "can be scaled to any number
@@ -42,26 +39,18 @@ func ScaleWith(ctx context.Context, opt Options, coreCounts []int, seed int64) (
 	if len(coreCounts) == 0 {
 		coreCounts = []int{2, 4, 8}
 	}
-	genFor := func(n int) stream.GenConfig {
-		// Budget ~0.45 FSE per core so the greedy mapping is feasible
-		// at mid-ladder frequencies, leaving thermal contrast.
-		return stream.GenConfig{
-			Seed:     seed,
-			Stages:   n + 2,
-			MaxWidth: 3,
-			TotalFSE: 0.45 * float64(n),
-		}
+	// Budget ~0.45 FSE per core so the greedy mapping is feasible at
+	// mid-ladder frequencies, leaving thermal contrast.
+	specFor := func(n int) (scenario.Spec, error) {
+		g, err := scenario.SplitJoin(seed, n+2, 3, 0.45*float64(n))
+		return scenario.Spec{Graph: g, Platform: scenario.PlatformSpec{Cores: n}}, err
 	}
 	runOne := func(n int, pol policy.Policy) (sim.Result, error) {
-		g, err := stream.Generate(genFor(n))
+		sp, err := specFor(n)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		policy.BalanceMapping(g.Tasks(), n)
-		plat, err := mpsoc.New(mpsoc.Config{
-			Floorplan: floorplanFor(n),
-			Package:   thermal.MobileEmbedded(),
-		})
+		inst, err := scenario.Compile(sp, scenario.Options{})
 		if err != nil {
 			return sim.Result{}, err
 		}
@@ -69,7 +58,7 @@ func ScaleWith(ctx context.Context, opt Options, coreCounts []int, seed int64) (
 			PolicyStartS:  DefaultWarmupS,
 			MeasureStartS: DefaultWarmupS,
 			Thermal:       opt.Thermal,
-		}, plat, g, pol)
+		}, inst.Platform, inst.Graph, pol)
 		if err != nil {
 			return sim.Result{}, err
 		}
@@ -104,13 +93,13 @@ func ScaleWith(ctx context.Context, opt Options, coreCounts []int, seed int64) (
 	}
 	rows := make([]ScaleRow, 0, len(coreCounts))
 	for i, n := range coreCounts {
-		g, err := stream.Generate(genFor(n))
+		sp, err := specFor(n)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, ScaleRow{
 			Cores:          n,
-			Tasks:          g.NumTasks(),
+			Tasks:          len(sp.Graph.Tasks),
 			PooledStdDev:   outs[i].bal.PooledStdDev,
 			BaselineStdDev: outs[i].base.PooledStdDev,
 			DeadlineMisses: outs[i].bal.DeadlineMisses,
@@ -118,10 +107,6 @@ func ScaleWith(ctx context.Context, opt Options, coreCounts []int, seed int64) (
 		})
 	}
 	return rows, nil
-}
-
-func floorplanFor(n int) *floorplan.Floorplan {
-	return floorplan.StreamingMPSoC(n)
 }
 
 // FormatScale renders the study.

@@ -1,268 +1,175 @@
 package scenario
 
-import (
-	"fmt"
+import "fmt"
 
-	"thermbal/internal/sim"
-	"thermbal/internal/stream"
-	"thermbal/internal/task"
-)
+// onCore is an explicit task placement.
+func onCore(c int) *int { return &c }
 
-// builtinDef pairs one catalogue scenario with the legacy Go graph
-// builder it originated from and the construction constants needed to
-// lift that build into a declarative spec. Registration derives the
-// spec from a default-options build and wires Build to Compile, so
-// every builtin runs through the same compiler as inline and file
-// specs; the builder itself stays around as the reference the
-// bit-for-bit equivalence test replays.
-type builtinDef struct {
-	sc   Scenario
-	meta builtinMeta
-	gb   func(o Options) (*stream.Graph, error)
+// queues declares default-capacity queues in order.
+func queues(names ...string) []QueueSpec {
+	out := make([]QueueSpec, len(names))
+	for i, n := range names {
+		out[i] = QueueSpec{Name: n}
+	}
+	return out
 }
 
-// Bursty modulation constants: every burstPeriodS the hot and cold task
-// groups swap, scaling their base loads by burstHi / burstLo. The mean
-// load stays near the baseline while its spatial distribution shifts —
-// the phase changes the paper's static mapping cannot follow.
-const (
-	burstPeriodS = 4.0
-	burstHi      = 1.35
-	burstLo      = 0.65
-)
-
-// phaseShiftModulator alternates the loads of even- and odd-indexed
-// tasks around their construction-time baselines: every periodS the
-// groups swap, scaling by hi / lo.
-func phaseShiftModulator(g *stream.Graph, periodS, hi, lo float64) sim.Modulator {
-	base := make([]float64, g.NumTasks())
-	for i, t := range g.Tasks() {
-		base[i] = t.FSE
-	}
-	last := -1
-	return func(now float64, tasks []*task.Task) bool {
-		phase := int(now/periodS) % 2
-		if phase == last {
-			return false
-		}
-		last = phase
-		for i, t := range tasks {
-			f := lo
-			if (i%2 == 0) == (phase == 0) {
-				f = hi
-			}
-			t.FSE = min(base[i]*f, 1)
-		}
-		return true
+// sdrGraph is the paper's benchmark, the Software Defined FM Radio of
+// Figure 6 with the Table 2 loads and mapping:
+//
+//	SRC → [LPF] → [DEMOD] → { [BPF1], [BPF2], [BPF3] } → [SUM] → SINK
+//
+// The demodulator broadcasts each frame to all three band-pass filters
+// (parallel equalizer structure); the consumer Σ needs one frame from
+// every BPF to produce an output frame. Frames arrive every 20 ms (50
+// audio frames per second) and queues hold 11 frames — the graph
+// defaults.
+//
+// Table 2 gives per-task loads at the core's running frequency; the FSE
+// values are those loads rescaled to the 533 MHz maximum:
+//
+//	Core 1 (533 MHz): BPF1 36.7 %          → FSE 0.367
+//	                  DEMOD 28.3 %         → FSE 0.283
+//	Core 2 (266 MHz): BPF2 60.9 %          → FSE 0.304
+//	                  Σ (SUM) 6.2 %        → FSE 0.031
+//	Core 3 (266 MHz): BPF3 60.9 %          → FSE 0.304
+//	                  LPF 18.8 %           → FSE 0.094
+func sdrGraph() GraphSpec {
+	return GraphSpec{
+		Queues: queues("q:src-lpf", "q:lpf-demod",
+			"q:demod-bpf1", "q:demod-bpf2", "q:demod-bpf3",
+			"q:bpf1-sum", "q:bpf2-sum", "q:bpf3-sum", "q:sum-sink"),
+		Tasks: []TaskSpec{
+			{Name: "LPF", FSE: 0.188 * 266.0 / 533.0, Core: onCore(2),
+				Inputs: []string{"q:src-lpf"}, Outputs: []string{"q:lpf-demod"}},
+			{Name: "DEMOD", FSE: 0.283, Core: onCore(0),
+				Inputs:  []string{"q:lpf-demod"},
+				Outputs: []string{"q:demod-bpf1", "q:demod-bpf2", "q:demod-bpf3"}},
+			{Name: "BPF1", FSE: 0.367, Core: onCore(0),
+				Inputs: []string{"q:demod-bpf1"}, Outputs: []string{"q:bpf1-sum"}},
+			{Name: "BPF2", FSE: 0.609 * 266.0 / 533.0, Core: onCore(1),
+				Inputs: []string{"q:demod-bpf2"}, Outputs: []string{"q:bpf2-sum"}},
+			{Name: "BPF3", FSE: 0.609 * 266.0 / 533.0, Core: onCore(2),
+				Inputs: []string{"q:demod-bpf3"}, Outputs: []string{"q:bpf3-sum"}},
+			{Name: "SUM", FSE: 0.062 * 266.0 / 533.0, Core: onCore(1),
+				Inputs:  []string{"q:bpf1-sum", "q:bpf2-sum", "q:bpf3-sum"},
+				Outputs: []string{"q:sum-sink"}},
+		},
+		Source: SourceSpec{Queue: "q:src-lpf"},
+		Sink:   SinkSpec{Queue: "q:sum-sink"},
 	}
 }
 
-// builtinDefs returns the full catalogue definition table. It is a
-// function rather than a package variable so the equivalence test can
-// obtain fresh closures without sharing state with the registry.
-func builtinDefs() []builtinDef {
-	defs := []builtinDef{
-		// The two paper workloads, with their hand mappings.
-		{
-			sc: Scenario{
-				Name:          DefaultName,
-				Description:   "the paper's Software Defined FM Radio (Figure 6, Table 2 mapping)",
-				Topology:      "pipeline with 3-way equalizer split",
-				Cores:         3,
-				DefaultPolicy: "thermal-balance",
-				DefaultDelta:  3,
-			},
-			meta: builtinMeta{
-				framePeriodS: stream.DefaultFramePeriod,
-				fmaxHz:       533e6,
-				queueCap:     stream.DefaultQueueCap,
-				cores:        3,
-			},
-			gb: func(o Options) (*stream.Graph, error) {
-				return stream.BuildSDR(stream.SDRConfig{QueueCap: o.QueueCap})
-			},
+// videoGraph is a second benchmark from the streaming multimedia class
+// the paper targets (Section 5.1 calls the SDR "representative of a
+// large class of streaming multimedia applications"): a software video
+// decoder pipeline in the style of an MPEG-2/H.263 decoder at 25
+// frames/s:
+//
+//	SRC → [VLD] → [IQ] → { [IDCT1], [IDCT2] } → [MC] → [OUT] → SINK
+//
+// Variable-length decoding (VLD) feeds inverse quantisation (IQ); the
+// inverse DCT is data-parallel across two workers; motion compensation
+// (MC) joins them and the output stage (OUT) colour-converts. Loads are
+// representative of software decoders on 533 MHz-class RISC cores.
+//
+// The mapping is first-fit by pipeline order, the kind a developer
+// writes before profiling: the front of the pipeline piles onto core 1
+// (FSE 0.78 → 533 MHz) while core 3 idles at 133 MHz (FSE 0.12). It is
+// deliberately thermally unbalanced — the situation the balancing
+// policy is for.
+func videoGraph() GraphSpec {
+	return GraphSpec{
+		FramePeriodS: 0.040,
+		Queues: queues("v:src-vld", "v:vld-iq", "v:iq-idct1", "v:iq-idct2",
+			"v:idct1-mc", "v:idct2-mc", "v:mc-out", "v:out-sink"),
+		Tasks: []TaskSpec{
+			{Name: "VLD", FSE: 0.22, Core: onCore(0),
+				Inputs: []string{"v:src-vld"}, Outputs: []string{"v:vld-iq"}},
+			{Name: "IQ", FSE: 0.10, Core: onCore(1),
+				Inputs: []string{"v:vld-iq"}, Outputs: []string{"v:iq-idct1", "v:iq-idct2"}},
+			{Name: "IDCT1", FSE: 0.26, Core: onCore(0),
+				Inputs: []string{"v:iq-idct1"}, Outputs: []string{"v:idct1-mc"}},
+			{Name: "IDCT2", FSE: 0.26, Core: onCore(1),
+				Inputs: []string{"v:iq-idct2"}, Outputs: []string{"v:idct2-mc"}},
+			{Name: "MC", FSE: 0.30, Core: onCore(0),
+				Inputs: []string{"v:idct1-mc", "v:idct2-mc"}, Outputs: []string{"v:mc-out"}},
+			{Name: "OUT", FSE: 0.12, Core: onCore(2),
+				Inputs: []string{"v:mc-out"}, Outputs: []string{"v:out-sink"}},
 		},
-		{
-			sc: Scenario{
-				Name:          "video-decoder",
-				Description:   "software video decoder pipeline, deliberately unbalanced first-fit mapping",
-				Topology:      "pipeline with 2-way IDCT split",
-				Cores:         3,
-				DefaultPolicy: "thermal-balance",
-				DefaultDelta:  3,
-			},
-			meta: builtinMeta{
-				framePeriodS: stream.VideoFramePeriod,
-				fmaxHz:       533e6,
-				queueCap:     stream.DefaultQueueCap,
-				cores:        3,
-			},
-			gb: func(o Options) (*stream.Graph, error) {
-				return stream.BuildVideo(stream.SDRConfig{QueueCap: o.QueueCap})
-			},
-		},
-		// Bursty phase-shifting load on the SDR graph: the hot spot
-		// moves between task groups every few seconds, so a static
-		// mapping is wrong half the time by construction.
-		{
-			sc: Scenario{
-				Name:          "bursty-sdr",
-				Description:   "SDR graph with phase-shifting load (hot/cold task groups swap every 4 s)",
-				Topology:      "SDR pipeline, FSE modulated over time",
-				Cores:         3,
-				DefaultPolicy: "thermal-balance",
-				DefaultDelta:  3,
-			},
-			meta: builtinMeta{
-				framePeriodS: stream.DefaultFramePeriod,
-				fmaxHz:       533e6,
-				queueCap:     stream.DefaultQueueCap,
-				cores:        3,
-				modulation:   &ModulationSpec{Kind: ModPhaseShift},
-			},
-			gb: func(o Options) (*stream.Graph, error) {
-				return stream.BuildSDR(stream.SDRConfig{QueueCap: o.QueueCap})
-			},
-		},
+		Source: SourceSpec{Queue: "v:src-vld"},
+		Sink:   SinkSpec{Queue: "v:out-sink"},
 	}
+}
+
+// registerBuiltin registers a catalogue spec under its topology label.
+// Failing at init beats a catalogue entry that only errors at run time.
+func registerBuiltin(sp Spec, topology string) {
+	s, err := FromSpec(sp)
+	if err != nil {
+		panic(fmt.Sprintf("scenario: builtin %q: %v", sp.Name, err))
+	}
+	s.Topology = topology
+	Register(s)
+}
+
+func init() {
+	// 3-core builtins run the balancing policy at ±3 °C by default.
+	threeCore := func(name, desc string, g GraphSpec) Spec {
+		return Spec{Name: name, Description: desc, Graph: g, DefaultPolicy: "thermal-balance", DefaultDelta: 3}
+	}
+
+	// The two paper workloads, with their hand mappings.
+	registerBuiltin(threeCore(DefaultName,
+		"the paper's Software Defined FM Radio (Figure 6, Table 2 mapping)", sdrGraph()),
+		"pipeline with 3-way equalizer split")
+	registerBuiltin(threeCore("video-decoder",
+		"software video decoder pipeline, deliberately unbalanced first-fit mapping", videoGraph()),
+		"pipeline with 2-way IDCT split")
+
+	// Bursty phase-shifting load on the SDR graph: the hot spot moves
+	// between task groups every few seconds, so a static mapping is
+	// wrong half the time by construction.
+	bursty := threeCore("bursty-sdr",
+		"SDR graph with phase-shifting load (hot/cold task groups swap every 4 s)", sdrGraph())
+	bursty.Modulation = &ModulationSpec{Kind: ModPhaseShift}
+	registerBuiltin(bursty, "SDR pipeline, FSE modulated over time")
 
 	// Deep pipelines: every stage sits on the critical path, so freeze
 	// filtering decides whether migrations are affordable at all.
 	for _, depth := range []int{4, 8, 16} {
-		depth := depth
-		defs = append(defs, builtinDef{
-			sc: Scenario{
-				Name:          fmt.Sprintf("pipeline-d%d", depth),
-				Description:   fmt.Sprintf("deep linear pipeline, %d seeded-load stages on the critical path", depth),
-				Topology:      fmt.Sprintf("pipeline depth %d", depth),
-				Cores:         3,
-				DefaultPolicy: "thermal-balance",
-				DefaultDelta:  3,
-				Seed:          int64(depth),
-			},
-			meta: builtinMeta{
-				framePeriodS: stream.DefaultFramePeriod,
-				fmaxHz:       533e6,
-				queueCap:     stream.DefaultQueueCap,
-				cores:        3,
-				balanced:     true,
-			},
-			gb: func(o Options) (*stream.Graph, error) {
-				return stream.BuildPipeline(stream.PipelineConfig{
-					Depth: depth, Seed: int64(depth), QueueCap: o.QueueCap,
-				})
-			},
-		})
+		registerBuiltin(threeCore(fmt.Sprintf("pipeline-d%d", depth),
+			fmt.Sprintf("deep linear pipeline, %d seeded-load stages on the critical path", depth),
+			pipelineGraph(depth, int64(depth))),
+			fmt.Sprintf("pipeline depth %d", depth))
 	}
 
 	// Fan-out/fan-in: many same-shape workers make the pairing space
 	// large; w4 is perfectly symmetric, w8 has a seeded skew.
-	for _, fc := range []struct {
-		width int
-		seed  int64
-		desc  string
-	}{
-		{4, 0, "symmetric 4-way fan-out/fan-in, degenerate pairing space"},
-		{8, 88, "skewed 8-way fan-out/fan-in with seeded worker loads"},
-	} {
-		fc := fc
-		defs = append(defs, builtinDef{
-			sc: Scenario{
-				Name:          fmt.Sprintf("fanout-w%d", fc.width),
-				Description:   fc.desc,
-				Topology:      fmt.Sprintf("split/join width %d", fc.width),
-				Cores:         3,
-				DefaultPolicy: "thermal-balance",
-				DefaultDelta:  3,
-				Seed:          fc.seed,
-			},
-			meta: builtinMeta{
-				framePeriodS: stream.DefaultFramePeriod,
-				fmaxHz:       533e6,
-				queueCap:     stream.DefaultQueueCap,
-				cores:        3,
-				balanced:     true,
-			},
-			gb: func(o Options) (*stream.Graph, error) {
-				return stream.BuildFanOut(stream.FanConfig{
-					Width: fc.width, Seed: fc.seed, QueueCap: o.QueueCap,
-				})
-			},
-		})
-	}
+	registerBuiltin(threeCore("fanout-w4",
+		"symmetric 4-way fan-out/fan-in, degenerate pairing space", fanOutGraph(4, 0)),
+		"split/join width 4")
+	registerBuiltin(threeCore("fanout-w8",
+		"skewed 8-way fan-out/fan-in with seeded worker loads", fanOutGraph(8, 88)),
+		"split/join width 8")
 
 	// Many-core scaling: generated workloads on platforms built by
 	// tiling the MPSoC floorplan, ~0.45 FSE budget per core. Shorter
 	// default windows keep the full matrix tractable.
 	for _, n := range []int{8, 16, 32, 64, 128, 256} {
-		n := n
-		defs = append(defs, builtinDef{
-			sc: Scenario{
-				Name:          fmt.Sprintf("manycore-%d", n),
-				Description:   fmt.Sprintf("seeded split/join workload on a %d-core tiled die", n),
-				Topology:      fmt.Sprintf("generated split/join, %d cores", n),
-				Cores:         n,
-				WarmupS:       5,
-				MeasureS:      10,
-				DefaultPolicy: "thermal-balance",
-				DefaultDelta:  2,
-				Seed:          int64(n),
-			},
-			meta: builtinMeta{
-				framePeriodS: stream.DefaultFramePeriod,
-				fmaxHz:       533e6,
-				queueCap:     stream.DefaultQueueCap,
-				cores:        n,
-				balanced:     true,
-			},
-			gb: func(o Options) (*stream.Graph, error) {
-				return stream.Generate(stream.GenConfig{
-					Seed:     int64(n),
-					Stages:   n/2 + 4,
-					MaxWidth: 3,
-					TotalFSE: 0.45 * float64(n),
-					QueueCap: o.QueueCap,
-				})
-			},
-		})
-	}
-	return defs
-}
-
-// registerBuiltin lifts a definition's default-options build into a
-// normalized spec, wires Build to compile that spec, and registers the
-// result. Failing at init beats a catalogue entry that only errors at
-// run time.
-func registerBuiltin(d builtinDef) {
-	g, err := d.gb(Options{})
-	if err != nil {
-		panic(fmt.Sprintf("scenario: builtin %q does not build: %v", d.sc.Name, err))
-	}
-	sp, err := deriveSpec(g, d.meta)
-	if err != nil {
-		panic(fmt.Sprintf("scenario: builtin %q: %v", d.sc.Name, err))
-	}
-	sp.Name = d.sc.Name
-	sp.Description = d.sc.Description
-	sp.WarmupS = d.sc.WarmupS
-	sp.MeasureS = d.sc.MeasureS
-	sp.DefaultPolicy = d.sc.DefaultPolicy
-	sp.DefaultDelta = d.sc.DefaultDelta
-	n, err := sp.Normalize()
-	if err != nil {
-		panic(fmt.Sprintf("scenario: builtin %q spec invalid: %v", d.sc.Name, err))
-	}
-	s := d.sc
-	s.Tasks = g.NumTasks()
-	s.Spec = &n
-	s.Build = func(o Options) (*Instance, error) {
-		return Compile(n, o)
-	}
-	Register(s)
-}
-
-func init() {
-	for _, d := range builtinDefs() {
-		registerBuiltin(d)
+		g, err := SplitJoin(int64(n), n/2+4, 3, 0.45*float64(n))
+		if err != nil {
+			panic(fmt.Sprintf("scenario: builtin manycore-%d: %v", n, err))
+		}
+		registerBuiltin(Spec{
+			Name:          fmt.Sprintf("manycore-%d", n),
+			Description:   fmt.Sprintf("seeded split/join workload on a %d-core tiled die", n),
+			Graph:         g,
+			Platform:      PlatformSpec{Cores: n},
+			WarmupS:       5,
+			MeasureS:      10,
+			DefaultPolicy: "thermal-balance",
+			DefaultDelta:  2,
+		}, fmt.Sprintf("generated split/join, %d cores", n))
 	}
 }

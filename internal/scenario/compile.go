@@ -17,8 +17,7 @@ import (
 // inline service specs, spec files and generated workloads alike. It
 // normalizes (and thereby validates) the spec, replays the graph in
 // declaration order, assembles the platform and attaches the modulator.
-// Equal specs compile to identical instances; a builtin's spec compiles
-// bit-for-bit to what its pre-spec Go builder constructed.
+// Equal specs compile to identical instances.
 func Compile(sp Spec, o Options) (*Instance, error) {
 	n, err := sp.Normalize()
 	if err != nil {
@@ -26,20 +25,8 @@ func Compile(sp Spec, o Options) (*Instance, error) {
 	}
 
 	g := stream.NewGraph()
-	// Queue capacity resolution: an explicit per-queue cap always
-	// wins; defaultable queues take the run's override, else the
-	// graph-level default.
-	effCap := func(q QueueSpec) int {
-		if q.Cap > 0 {
-			return q.Cap
-		}
-		if o.QueueCap > 0 {
-			return o.QueueCap
-		}
-		return n.Graph.QueueCap
-	}
 	for _, q := range n.Graph.Queues {
-		if _, err := g.AddQueue(q.Name, effCap(q)); err != nil {
+		if _, err := g.AddQueue(q.Name, n.Graph.capOf(q, o.QueueCap)); err != nil {
 			return nil, err
 		}
 	}
@@ -84,8 +71,7 @@ func Compile(sp Spec, o Options) (*Instance, error) {
 	prefill := n.Graph.Sink.Prefill
 	if prefill == 0 {
 		// Half the sink queue's effective capacity, so the playback
-		// threshold follows queue-capacity overrides like the Go
-		// builders' did.
+		// threshold follows queue-capacity overrides.
 		si := qidx(n.Graph.Sink.Queue)
 		prefill = (g.Queue(si).Cap() + 1) / 2
 	}
@@ -108,6 +94,42 @@ func Compile(sp Spec, o Options) (*Instance, error) {
 		mod = phaseShiftModulator(g, n.Modulation.PeriodS, n.Modulation.Hi, n.Modulation.Lo)
 	}
 	return &Instance{Graph: g, Platform: plat, Modulate: mod}, nil
+}
+
+// Phase-shift modulation defaults: every burstPeriodS the hot and cold
+// task groups swap, scaling their base loads by burstHi / burstLo. The
+// mean load stays near the baseline while its spatial distribution
+// shifts — the phase changes the paper's static mapping cannot follow.
+const (
+	burstPeriodS = 4.0
+	burstHi      = 1.35
+	burstLo      = 0.65
+)
+
+// phaseShiftModulator alternates the loads of even- and odd-indexed
+// tasks around their construction-time baselines: every periodS the
+// groups swap, scaling by hi / lo.
+func phaseShiftModulator(g *stream.Graph, periodS, hi, lo float64) sim.Modulator {
+	base := make([]float64, g.NumTasks())
+	for i, t := range g.Tasks() {
+		base[i] = t.FSE
+	}
+	last := -1
+	return func(now float64, tasks []*task.Task) bool {
+		phase := int(now/periodS) % 2
+		if phase == last {
+			return false
+		}
+		last = phase
+		for i, t := range tasks {
+			f := lo
+			if (i%2 == 0) == (phase == 0) {
+				f = hi
+			}
+			t.FSE = min(base[i]*f, 1)
+		}
+		return true
+	}
 }
 
 // compilePlatform assembles the MPSoC a normalized platform spec
@@ -162,10 +184,9 @@ func compilePlatform(p PlatformSpec, o Options) (*mpsoc.Platform, error) {
 }
 
 // FromSpec synthesizes an unregistered Scenario from a spec: catalogue
-// fields from the spec's labels (builtin-style fallbacks for the
-// defaults a bare run needs), Build wired to Compile. It is how spec
-// files, inline service specs and generated specs enter the same code
-// paths as registered scenarios.
+// fields from the spec's labels, with builtin-style fallbacks for the
+// defaults a bare run needs. It is how builtins, spec files, inline
+// service specs and generated specs enter the same code paths.
 func FromSpec(sp Spec) (Scenario, error) {
 	n, err := sp.Normalize()
 	if err != nil {
@@ -182,9 +203,6 @@ func FromSpec(sp Spec) (Scenario, error) {
 		DefaultPolicy: n.DefaultPolicy,
 		DefaultDelta:  n.DefaultDelta,
 		Spec:          &n,
-		Build: func(o Options) (*Instance, error) {
-			return Compile(n, o)
-		},
 	}
 	if s.Name == "" {
 		s.Name = "custom-spec"

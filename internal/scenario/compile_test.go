@@ -1,44 +1,29 @@
 package scenario
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
 
-	"thermbal/internal/floorplan"
-	"thermbal/internal/mpsoc"
 	"thermbal/internal/policy"
 	"thermbal/internal/sim"
 	"thermbal/internal/stream"
 )
 
-// legacyInstance replays what registerBuiltin did before the spec
-// refactor: build the graph with the legacy Go builder, balance when
-// the paper gives no hand mapping, tile the floorplan for non-3-core
-// platforms, attach the modulator. It is the reference the compiled
-// spec must match bit for bit.
-func legacyInstance(t *testing.T, d builtinDef, o Options) *Instance {
+// roundTrip sends a spec through its JSON form, as spec files and
+// inline service requests carry it.
+func roundTrip(t *testing.T, sp Spec) Spec {
 	t.Helper()
-	g, err := d.gb(o)
+	b, err := json.Marshal(sp)
 	if err != nil {
-		t.Fatalf("%s: legacy build: %v", d.sc.Name, err)
+		t.Fatal(err)
 	}
-	if d.meta.balanced {
-		policy.BalanceMapping(g.Tasks(), d.meta.cores)
+	var out Spec
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
 	}
-	var fp *floorplan.Floorplan
-	if d.meta.cores != 3 {
-		fp = floorplan.StreamingMPSoC(d.meta.cores)
-	}
-	plat, err := mpsoc.New(mpsoc.Config{Floorplan: fp, Package: o.pkg()})
-	if err != nil {
-		t.Fatalf("%s: legacy platform: %v", d.sc.Name, err)
-	}
-	var mod sim.Modulator
-	if d.meta.modulation != nil {
-		mod = phaseShiftModulator(g, burstPeriodS, burstHi, burstLo)
-	}
-	return &Instance{Graph: g, Platform: plat, Modulate: mod}
+	return out
 }
 
 // requireGraphsIdentical compares two stream graphs exactly: queue
@@ -98,64 +83,75 @@ func requireGraphsIdentical(t *testing.T, name string, want, got *stream.Graph) 
 	}
 }
 
-// TestBuiltinSpecsCompileBitForBit proves the tentpole invariant: every
-// builtin compiled through its derived spec reconstructs exactly the
-// graph the pre-refactor Go builder produced — under default options
-// and under a queue-capacity override.
+// TestBuiltinSpecsCompileBitForBit pins every builtin's spec to its
+// golden digests — the content address, the full spec JSON and the
+// catalogue entry — and requires the registered spec and its JSON round
+// trip to compile to identical graphs, under default options and under
+// a queue-capacity override.
 func TestBuiltinSpecsCompileBitForBit(t *testing.T) {
-	for _, d := range builtinDefs() {
-		d := d
-		t.Run(d.sc.Name, func(t *testing.T) {
-			sc, err := Lookup(d.sc.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sc.Spec == nil {
-				t.Fatal("builtin has no spec")
+	pinned := loadSpecDigests(t)
+	for _, s := range All() {
+		t.Run(s.Name, func(t *testing.T) {
+			if got, want := digestOf(t, s), pinned.Builtins[s.Name]; got != want {
+				t.Fatalf("spec digest %+v, pinned %+v", got, want)
 			}
 			for _, o := range []Options{{}, {QueueCap: 5}} {
-				legacy := legacyInstance(t, d, o)
-				compiled, err := sc.Instantiate(o)
+				registered, err := s.Instantiate(o)
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				requireGraphsIdentical(t, d.sc.Name, legacy.Graph, compiled.Graph)
-				if legacy.Platform.NumCores() != compiled.Platform.NumCores() {
-					t.Fatalf("platform cores %d != %d",
-						compiled.Platform.NumCores(), legacy.Platform.NumCores())
+				fromJSON, err := Compile(roundTrip(t, *s.Spec), o)
+				if err != nil {
+					t.Fatalf("compile round trip: %v", err)
 				}
-				if (legacy.Modulate == nil) != (compiled.Modulate == nil) {
-					t.Fatalf("modulator presence differs: legacy %v, compiled %v",
-						legacy.Modulate != nil, compiled.Modulate != nil)
+				requireGraphsIdentical(t, s.Name, registered.Graph, fromJSON.Graph)
+				if registered.Platform.NumCores() != s.Cores {
+					t.Fatalf("platform cores %d != %d", registered.Platform.NumCores(), s.Cores)
 				}
+				if (registered.Modulate == nil) != (s.Spec.Modulation == nil) {
+					t.Fatalf("modulator presence %v, spec modulation %v",
+						registered.Modulate != nil, s.Spec.Modulation != nil)
+				}
+			}
+			// The override reaches every defaultable queue, and the
+			// derived sink prefill follows it: (5+1)/2 = 3 frames.
+			inst, err := s.Instantiate(Options{QueueCap: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range s.Spec.Graph.Queues {
+				want := q.Cap
+				if want == 0 {
+					want = 5
+				}
+				if got := inst.Graph.Queue(qi).Cap(); got != want {
+					t.Errorf("queue %s cap %d under override, want %d", q.Name, got, want)
+				}
+			}
+			if _, _, prefill := inst.Graph.SinkConfig(); prefill != 3 {
+				t.Errorf("sink prefill %d under queue cap 5, want 3", prefill)
 			}
 		})
 	}
 }
 
 // TestBuiltinSpecsRunBitForBit runs a subset of builtins end to end
-// through both construction paths and requires identical summaries —
-// every metric, bit for bit. Identical graphs plus identical platforms
-// must produce identical trajectories; this catches any divergence the
-// structural comparison cannot see (platform assembly, modulators).
+// from the registered spec and from its JSON round trip and requires
+// identical summaries — every metric, bit for bit. This catches any
+// divergence the structural comparison cannot see (platform assembly,
+// modulators).
 func TestBuiltinSpecsRunBitForBit(t *testing.T) {
-	subset := map[string]bool{
-		"sdr-radio": true, "video-decoder": true, "bursty-sdr": true,
-		"pipeline-d8": true, "fanout-w8": true, "manycore-8": true,
-	}
-	for _, d := range builtinDefs() {
-		if !subset[d.sc.Name] {
-			continue
-		}
-		d := d
-		t.Run(d.sc.Name, func(t *testing.T) {
-			sc, err := Lookup(d.sc.Name)
+	for _, name := range []string{
+		"sdr-radio", "video-decoder", "bursty-sdr", "pipeline-d8", "fanout-w8", "manycore-8",
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc, err := Lookup(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			run := func(inst *Instance) sim.Result {
 				t.Helper()
-				pol, err := policy.New(d.sc.DefaultPolicy, policy.Args{Delta: d.sc.DefaultDelta})
+				pol, err := policy.New(sc.DefaultPolicy, policy.Args{Delta: sc.DefaultDelta})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,14 +168,16 @@ func TestBuiltinSpecsRunBitForBit(t *testing.T) {
 				}
 				return e.Summarize()
 			}
-			legacy := run(legacyInstance(t, d, Options{}))
-			compiled, err := sc.Instantiate(Options{})
+			registered, err := sc.Instantiate(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := run(compiled)
-			if !reflect.DeepEqual(legacy, got) {
-				t.Fatalf("summaries differ:\nlegacy:   %+v\ncompiled: %+v", legacy, got)
+			fromJSON, err := Compile(roundTrip(t, *sc.Spec), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := run(registered), run(fromJSON); !reflect.DeepEqual(a, b) {
+				t.Fatalf("summaries differ:\nregistered: %+v\nround trip: %+v", a, b)
 			}
 		})
 	}
@@ -190,9 +188,6 @@ func TestBuiltinSpecsRunBitForBit(t *testing.T) {
 // spec does not resolve at all.
 func TestBuiltinNameForSpec(t *testing.T) {
 	for _, s := range All() {
-		if s.Spec == nil {
-			t.Fatalf("%s: no spec", s.Name)
-		}
 		name, ok := BuiltinNameForSpec(*s.Spec)
 		if !ok || name != s.Name {
 			t.Errorf("%s: BuiltinNameForSpec = %q, %v", s.Name, name, ok)

@@ -26,8 +26,8 @@ func Register(s Scenario) {
 	if s.Name == "" {
 		panic("scenario: Register with empty name")
 	}
-	if s.Build == nil {
-		panic(fmt.Sprintf("scenario: Register %q with nil builder", s.Name))
+	if s.Spec == nil {
+		panic(fmt.Sprintf("scenario: Register %q with nil spec", s.Name))
 	}
 	reg.Lock()
 	defer reg.Unlock()
@@ -35,10 +35,8 @@ func Register(s Scenario) {
 		panic(fmt.Sprintf("scenario: duplicate registration of %q", s.Name))
 	}
 	reg.scenarios[s.Name] = s
-	if s.Spec != nil {
-		if h := s.Spec.Hash(); reg.bySpec[h] == "" {
-			reg.bySpec[h] = s.Name
-		}
+	if h := s.Spec.Hash(); reg.bySpec[h] == "" {
+		reg.bySpec[h] = s.Name
 	}
 }
 
@@ -99,14 +97,14 @@ type Info struct {
 	DefaultPolicy string  `json:"default_policy"`
 	DefaultDelta  float64 `json:"default_delta"`
 	// SpecVersion is the declarative spec schema version the scenario
-	// exports (0 when the scenario has no spec form), so clients can
-	// feature-detect the spec path before requesting ?spec=1.
+	// exports, so clients can feature-detect the spec path before
+	// requesting ?spec=1.
 	SpecVersion int `json:"spec_version,omitempty"`
 }
 
 // Info returns the catalogue entry for the scenario.
 func (s Scenario) Info() Info {
-	info := Info{
+	return Info{
 		Name:          s.Name,
 		Description:   s.Description,
 		Topology:      s.Topology,
@@ -116,11 +114,8 @@ func (s Scenario) Info() Info {
 		MeasureS:      s.MeasureS,
 		DefaultPolicy: s.DefaultPolicy,
 		DefaultDelta:  s.DefaultDelta,
+		SpecVersion:   s.Spec.SpecVersion,
 	}
-	if s.Spec != nil {
-		info.SpecVersion = s.Spec.SpecVersion
-	}
-	return info
 }
 
 // Infos returns the catalogue entries of every registered scenario,

@@ -8,6 +8,12 @@
 // fan-out/fan-in graphs, bursty phase-shifting load, and many-core
 // platforms built by tiling the MPSoC floorplan.
 //
+// Every scenario is a declarative Spec. The builtins are spec literals
+// and seeded spec generators in this package; custom scenarios arrive
+// as spec files or inline service requests, and Generate derives one
+// from a seed. Compile is the one constructor that turns a spec into a
+// stream graph and platform.
+//
 // Scenario construction is deterministic: instantiating the same name
 // twice yields identical graphs (seeded generation, fixed topology), so
 // experiment results are reproducible and comparable across runs.
@@ -62,24 +68,19 @@ type Scenario struct {
 	DefaultPolicy string
 	// DefaultDelta is the threshold a bare run uses (°C).
 	DefaultDelta float64
-	// Seed drives generated load profiles (0 for fixed topologies).
-	Seed int64
 
-	// Spec is the declarative form of the scenario, when it has one.
-	// Every builtin does (their Build compiles it); it is what
-	// /scenarios?spec=1 exports and what BuiltinNameForSpec indexes.
+	// Spec is the declarative form of the scenario; every scenario has
+	// one. Instantiate compiles it, /scenarios?spec=1 exports it and
+	// BuiltinNameForSpec indexes it.
 	Spec *Spec
-
-	// Build instantiates the scenario.
-	Build func(o Options) (*Instance, error)
 }
 
-// Instantiate builds the scenario with the given options.
+// Instantiate compiles the scenario's spec with the given options.
 func (s Scenario) Instantiate(o Options) (*Instance, error) {
-	if s.Build == nil {
-		return nil, fmt.Errorf("scenario: %q has no builder", s.Name)
+	if s.Spec == nil {
+		return nil, fmt.Errorf("scenario: %q has no spec", s.Name)
 	}
-	inst, err := s.Build(o)
+	inst, err := Compile(*s.Spec, o)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: build %q: %w", s.Name, err)
 	}

@@ -39,7 +39,8 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	Register(Scenario{Name: "sdr-radio", Build: func(Options) (*Instance, error) { return nil, nil }})
+	sc, _ := Lookup("sdr-radio")
+	Register(Scenario{Name: "sdr-radio", Spec: sc.Spec})
 }
 
 func TestRegisterEmptyNamePanics(t *testing.T) {
@@ -48,7 +49,8 @@ func TestRegisterEmptyNamePanics(t *testing.T) {
 			t.Fatal("empty-name registration did not panic")
 		}
 	}()
-	Register(Scenario{Build: func(Options) (*Instance, error) { return nil, nil }})
+	sc, _ := Lookup("sdr-radio")
+	Register(Scenario{Spec: sc.Spec})
 }
 
 // TestDeterministicConstruction instantiates every scenario twice and

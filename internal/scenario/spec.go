@@ -17,10 +17,9 @@ import (
 // rates, deadlines and loads; platform and floorplan selection
 // (including asymmetric big.LITTLE-style core tiles and the ambient
 // profile); load modulation; power coefficients. Built-in scenarios are
-// registered as specs compiled by Compile, a service request may carry
-// one inline, and Generate derives one from a seed — all three enter
-// the simulator through the same path and the same content-address
-// scheme.
+// spec literals and generators, a service request may carry a spec
+// inline, and Generate derives one from a seed — all three enter the
+// simulator through Compile and the same content-address scheme.
 
 // SpecVersionV1 is the current (and only) scenario spec schema version.
 const SpecVersionV1 = 1
@@ -124,7 +123,7 @@ type SinkSpec struct {
 	PeriodS float64 `json:"period_s,omitempty"`
 	// Prefill is the playback threshold in frames; 0 derives half the
 	// sink queue's effective capacity, so it follows queue-capacity
-	// overrides.
+	// overrides. An explicit prefill must fit the sink queue.
 	Prefill int `json:"prefill,omitempty"`
 }
 
@@ -436,6 +435,12 @@ func normalizeGraph(c *specCheck, g GraphSpec) GraphSpec {
 	c.num("graph.sink.period_s", g.Sink.PeriodS, 1e-6, 10)
 	if g.Sink.Prefill < 0 || g.Sink.Prefill > maxQueueCap {
 		c.addf("graph.sink.prefill", "%d outside [0, %d]", g.Sink.Prefill, maxQueueCap)
+	} else if qi, ok := qIndex[g.Sink.Queue]; ok {
+		// A threshold the queue can never hold means playback never
+		// starts: a run with no deadlines at all.
+		if capN := g.capOf(g.Queues[qi], 0); g.Sink.Prefill > capN {
+			c.addf("graph.sink.prefill", "%d exceeds the sink queue's capacity %d", g.Sink.Prefill, capN)
+		}
 	}
 
 	for i, q := range g.Queues {
@@ -453,6 +458,47 @@ func normalizeGraph(c *specCheck, g GraphSpec) GraphSpec {
 
 	checkAcyclic(c, g, producersOf)
 	return g
+}
+
+// capOf resolves a queue's capacity for a run: an explicit per-queue
+// cap always wins; defaultable queues take the run's override when
+// positive, else the graph-level default.
+func (g GraphSpec) capOf(q QueueSpec, override int) int {
+	if q.Cap > 0 {
+		return q.Cap
+	}
+	if override > 0 {
+		return override
+	}
+	return g.QueueCap
+}
+
+// CheckQueueCap reports whether a run may give the spec's defaultable
+// queues capacity queueCap (<= 0: no override). An explicit sink
+// prefill above the sink queue's resulting capacity is rejected, since
+// playback could never start; specs that derive their prefill always
+// pass.
+func (sp Spec) CheckQueueCap(queueCap int) error {
+	prefill := sp.Graph.Sink.Prefill
+	if prefill == 0 {
+		return nil
+	}
+	n, err := sp.Normalize()
+	if err != nil {
+		return err
+	}
+	for _, q := range n.Graph.Queues {
+		if q.Name != n.Graph.Sink.Queue {
+			continue
+		}
+		if capN := n.Graph.capOf(q, queueCap); prefill > capN {
+			return &SpecError{Problems: []Problem{{
+				Path: "graph.sink.prefill",
+				Msg:  fmt.Sprintf("%d exceeds the sink queue's capacity %d under queue_cap %d", prefill, capN, queueCap),
+			}}}
+		}
+	}
+	return nil
 }
 
 // checkAcyclic rejects cyclic task graphs: a task that (transitively)

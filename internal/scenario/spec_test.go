@@ -151,6 +151,12 @@ func TestValidateRejections(t *testing.T) {
 		{"negative core", mut(func(s *Spec) { s.Graph.Tasks[0].Core = &neg }), "graph.tasks[0].core", "negative"},
 		{"queue cap huge", mut(func(s *Spec) { s.Graph.QueueCap = maxQueueCap + 1 }), "graph.queue_cap", "outside"},
 		{"per-queue cap negative", mut(func(s *Spec) { s.Graph.Queues[0].Cap = -3 }), "graph.queues[0].cap", "outside"},
+		{"sink prefill over default cap", mut(func(s *Spec) { s.Graph.Sink.Prefill = 12 }), "graph.sink.prefill", "exceeds the sink queue's capacity 11"},
+		{"sink prefill over queue cap", mut(func(s *Spec) {
+			s.Graph.Queues[2].Cap = 20
+			s.Graph.QueueCap = 30
+			s.Graph.Sink.Prefill = 21
+		}), "graph.sink.prefill", "exceeds the sink queue's capacity 20"},
 		{"state bytes huge", mut(func(s *Spec) { s.Graph.Tasks[0].StateBytes = 2 * maxTaskBytes }), "graph.tasks[0].state_bytes", "outside"},
 		{"cores over limit", mut(func(s *Spec) { s.Platform.Cores = maxSpecCores + 1 }), "platform.cores", "outside"},
 		{"tile sum mismatch", mut(func(s *Spec) {

@@ -158,6 +158,13 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 	if c.QueueCap <= 0 {
 		c.QueueCap = stream.DefaultQueueCap
 	}
+	if c.Spec != nil {
+		// An override that shrinks the sink queue below an explicit
+		// prefill would run without ever starting playback.
+		if err := c.Spec.CheckQueueCap(c.QueueCap); err != nil {
+			return Request{}, experiment.RunConfig{}, err
+		}
+	}
 	mech, err := ParseMechanism(req.Mechanism)
 	if err != nil {
 		return Request{}, experiment.RunConfig{}, err

@@ -38,9 +38,6 @@ func builtinSpec(t *testing.T, name string) scenario.Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Spec == nil {
-		t.Fatalf("%s has no spec", name)
-	}
 	return *sc.Spec
 }
 
@@ -223,6 +220,58 @@ func TestInlineSpecErrors(t *testing.T) {
 		`{"spec":{"graph":{"quues":[{"name":"q"}]}}}`)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "quues") {
 		t.Errorf("unknown nested field: %d %s", resp.StatusCode, b)
+	}
+}
+
+// TestInlineSpecSinkPrefill: a sink prefill the sink queue can never
+// hold would run without a single deadline. Such a spec is a 400 —
+// whether the spec declares it or a request's queue_cap override
+// shrinks the queue below it — and nothing is executed, cached or
+// stored.
+func TestInlineSpecSinkPrefill(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	s, ts := newTestServer(t, Config{Store: st})
+
+	oversized := builtinSpec(t, "fanout-w8")
+	oversized.Graph.Sink.Prefill = 20 // the sink queue holds 11
+	resp, b := do(t, http.MethodPost, ts.URL+"/run", specRunBody(t, oversized))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "graph.sink.prefill") {
+		t.Errorf("oversized prefill: %d %s", resp.StatusCode, b)
+	}
+
+	// Valid as declared (queue_cap 20), but the run's queue_cap
+	// override — 11 when omitted — decides the sink queue's capacity.
+	wide := builtinSpec(t, "fanout-w8")
+	wide.Graph.QueueCap = 20
+	wide.Graph.Sink.Prefill = 15
+	body := specRunBody(t, wide)
+	resp, b = do(t, http.MethodPost, ts.URL+"/run", body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "under queue_cap 11") {
+		t.Errorf("prefill above the default override: %d %s", resp.StatusCode, b)
+	}
+	resp, b = do(t, http.MethodPost, ts.URL+"/run", strings.Replace(body, `{"spec":`, `{"queue_cap":12,"spec":`, 1))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "under queue_cap 12") {
+		t.Errorf("prefill above an explicit override: %d %s", resp.StatusCode, b)
+	}
+
+	stats := s.Stats()
+	if stats.Executions != 0 || stats.Cache.Entries != 0 || stats.Store == nil || stats.Store.Records != 0 {
+		t.Errorf("rejected specs left state behind: executions %d, cache %+v, store %+v",
+			stats.Executions, stats.Cache, stats.Store)
+	}
+
+	// An override that leaves room for the prefill runs.
+	resp, b = do(t, http.MethodPost, ts.URL+"/run", strings.Replace(body, `{"spec":`, `{"queue_cap":15,"spec":`, 1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prefill within the override: %d %s", resp.StatusCode, b)
+	}
+	var doc RunDoc
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Result.QoS.FramesConsumed == 0 {
+		t.Errorf("run with prefill 15 of 15 consumed no frames: %+v", doc.Result.QoS)
 	}
 }
 

@@ -153,6 +153,11 @@ func (g *Graph) SetSink(qi int, period float64, prefill int) error {
 	if prefill < 1 {
 		return errors.New("stream: sink prefill must be >= 1")
 	}
+	if c := g.queues[qi].Cap(); prefill > c {
+		// The queue can never hold the threshold, so playback would
+		// never start.
+		return fmt.Errorf("stream: sink prefill %d exceeds queue %q capacity %d", prefill, g.queues[qi].Name(), c)
+	}
 	g.sink = Sink{queue: qi, period: period, prefill: prefill}
 	return nil
 }

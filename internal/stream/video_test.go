@@ -1,28 +1,27 @@
-package stream
+package stream_test
 
 import (
 	"math"
 	"testing"
 )
 
-func TestBuildVideoStructure(t *testing.T) {
-	g, err := BuildVideo(SDRConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestVideoStructure(t *testing.T) {
+	g := builtinGraph(t, "video-decoder")
 	if g.NumTasks() != 6 {
 		t.Fatalf("tasks = %d", g.NumTasks())
 	}
 	if g.NumQueues() != 8 {
 		t.Fatalf("queues = %d", g.NumQueues())
 	}
-	for _, name := range VideoTaskNames {
+	// The first-fit-by-pipeline-order placement (0-based cores).
+	mapping := map[string]int{"VLD": 0, "IDCT1": 0, "MC": 0, "IQ": 1, "IDCT2": 1, "OUT": 2}
+	for name, core := range mapping {
 		ti, ok := g.TaskIndex(name)
 		if !ok {
 			t.Fatalf("task %s missing", name)
 		}
-		if g.Task(ti).Core != VideoMapping[name] {
-			t.Errorf("%s on core %d", name, g.Task(ti).Core)
+		if g.Task(ti).Core != core {
+			t.Errorf("%s on core %d, want %d", name, g.Task(ti).Core, core)
 		}
 	}
 	// The first-fit mapping is intentionally unbalanced but feasible:
@@ -43,10 +42,7 @@ func TestBuildVideoStructure(t *testing.T) {
 }
 
 func TestVideoFlowsEndToEnd(t *testing.T) {
-	g, err := BuildVideo(SDRConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := builtinGraph(t, "video-decoder")
 	idealRun(t, g, 3.0)
 	if g.SinkStats().Misses != 0 {
 		t.Errorf("%d misses on ideal CPU", g.SinkStats().Misses)
@@ -62,7 +58,7 @@ func TestVideoFlowsEndToEnd(t *testing.T) {
 }
 
 func TestVideoSplitJoinSemantics(t *testing.T) {
-	g, _ := BuildVideo(SDRConfig{})
+	g := builtinGraph(t, "video-decoder")
 	mc, _ := g.TaskIndex("MC")
 	if got := len(g.Inputs(mc)); got != 2 {
 		t.Errorf("MC inputs = %d, want 2 (join)", got)
